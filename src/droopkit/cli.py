@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from .core import (
 from .droop_opt import DroopProblem, DroopSolution, StiffnessError, solve_problem
 from .dynamics import (
     ConverterOutage,
+    SimulationDiverged,
     UnstableModelError,
     WindStep,
     assemble_model,
@@ -190,7 +192,10 @@ def hours_from_csv(text: str, link_ids: tuple[str, ...]) -> list[HourScenario]:
         cells = ln.split(",")
         hour = int(cells[0])
         wind = float(cells[1])
-        caps = np.array([float(v) for v in cells[2 : 2 + len(link_ids)]])
+        caps = [float(v) for v in cells[2 : 2 + len(link_ids)]]
+        if not all(map(math.isfinite, [wind, *caps])):
+            raise ScenarioError(f"hours CSV hour {hour}: wind_mw and cap_* must be finite")
+        caps = np.array(caps)
         fixture = cells[2 + len(link_ids)]
         hours.append(
             HourScenario(
@@ -321,12 +326,18 @@ def cmd_market_loop(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     lines = ["hour,link,capacity_mw,flow_mw,reduced_mw,secure"]
+    row_fmt = "%d,%s,%.12g,%.12g,%.12g,%s"
     for rec in run.records:
-        for j, cid in enumerate(run.link_ids):
-            lines.append(
-                f"{rec.hour},{cid},{rec.capacity_mw[j]:.12g},{rec.flow_mw[j]:.12g},"
-                f"{rec.reduced_mw[j]:.12g},{str(rec.secure).lower()}"
+        secure = str(rec.secure).lower()
+        lines.extend(
+            row_fmt % (rec.hour, cid, cap, flow, red, secure)
+            for cid, cap, flow, red in zip(
+                run.link_ids,
+                rec.capacity_mw.tolist(),
+                rec.flow_mw.tolist(),
+                rec.reduced_mw.tolist(),
             )
+        )
     (out_dir / "capacities.csv").write_text("\n".join(lines) + "\n")
 
     curves = duration_curves(run)
@@ -405,7 +416,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, UnstableModelError) as exc:
+    except (ScenarioError, UnstableModelError, SimulationDiverged) as exc:
         print(f"droopkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

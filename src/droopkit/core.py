@@ -9,6 +9,7 @@ p_ref_k back into the island.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -280,8 +281,8 @@ class DroopAssignment:
         arr = np.array(np.atleast_1d(self.x), dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ScenarioError("x must be a non-empty vector")
-        if np.any(arr <= 0):
-            raise ScenarioError("inverse droop gains must be positive")
+        if not np.all((arr > 0) & (arr < np.inf)):
+            raise ScenarioError("inverse droop gains must be positive and finite")
         arr.setflags(write=False)
         object.__setattr__(self, "x", arr)
 
@@ -321,8 +322,27 @@ class ValidationReport:
 
 
 def validate_scenario(scenario: GridScenario) -> ValidationReport:
-    """Check scenario invariants, returning findings instead of raising."""
+    """Check scenario invariants, returning findings instead of raising.
+
+    Non-finite numbers are errors here: the constructors' sign checks let NaN
+    through, and a NaN set-point would screen as secure.
+    """
     report = ValidationReport()
+
+    def finite(what: str, value: float) -> None:
+        if not math.isfinite(value):
+            report.errors.append(f"{what} must be finite, got {value!r}")
+
+    finite("s_base_mva", scenario.base.s_base_mva)
+    finite("f_nom_hz", scenario.base.f_nom_hz)
+    for c in scenario.converters:
+        for name in ("rating_mva", "p_ref", "p_max", "x_min"):
+            finite(f"converter {c.id}: {name}", getattr(c, name))
+    for node, p in scenario.wind_injections:
+        finite(f"wind injection at {node}", p)
+    for i, j, b in scenario.network.edges:
+        finite(f"edge ({i}, {j}) susceptance", b)
+
     ids = [c.id for c in scenario.converters]
     for cid in sorted({i for i in ids if ids.count(i) > 1}):
         report.errors.append(f"duplicate id {cid!r}")

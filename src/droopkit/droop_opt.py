@@ -206,7 +206,7 @@ def solve_exact_oracle(problem: DroopProblem, tie_break: bool = True) -> DroopSo
     x = res.x[:n]
     if tie_break:
         fstar = float(cvec @ res.x)
-        a_ub2 = sp.vstack([sp.csr_matrix(a_ub), sp.csr_matrix(cvec)])
+        a_ub2 = np.vstack([a_ub, cvec])
         b_ub2 = np.append(b_ub, fstar + 1e-9 * max(1.0, abs(fstar)))
         c2 = np.zeros_like(cvec)
         c2[:n] = 0.5 ** np.arange(n)

@@ -16,6 +16,7 @@ surplus / stiffness.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,14 @@ DEFAULT_DT = 1e-3
 
 _STABILITY_MARGIN = 1e-10
 _DIVERGENCE_LIMIT = 1e6
+# The Laplacian's zero mode is an exact eigenvalue 1 of the step matrix, which
+# rounding moves by a few 1e-16; growth beyond this is a genuinely unstable step.
+_RK4_GROWTH_TOL = 1e-9
+# Largest distance of t/dt from an integer still accepted as on the step grid.
+_GRID_TOL = 1e-6
+# Rows per formatted block of trajectory CSV: big enough to amortise the
+# per-block work, small enough that the Python floats of one block stay small.
+_CSV_BLOCK_ROWS = 4096
 
 
 class UnstableModelError(RuntimeError):
@@ -35,7 +44,8 @@ class UnstableModelError(RuntimeError):
 
 
 class SimulationDiverged(RuntimeError):
-    """State norm blew past the divergence guard during integration."""
+    """The time step is unstable for the model, or the state norm blew past
+    the divergence guard during integration."""
 
 
 @dataclass(frozen=True)
@@ -340,6 +350,35 @@ def _rk4_step_matrices(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray
     return phi, gamma
 
 
+def _rk4_growth(z: np.ndarray) -> np.ndarray:
+    """Amplification |R(z)| of one classical RK4 step on the mode x' = lambda x, z = dt*lambda."""
+    return np.abs(1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24))))
+
+
+def _check_step_stable(a: np.ndarray, phi: np.ndarray, dt: float, t_start: float) -> None:
+    """Reject a step whose matrix amplifies some mode, before integrating with it.
+
+    The message names the largest stable step, found by bisection on the
+    amplification of the eigenvalues of ``a`` (the eigenvalues of ``phi`` are
+    their images under the RK4 polynomial).
+    """
+    rho = float(np.max(np.abs(np.linalg.eigvals(phi))))
+    if rho <= 1 + _RK4_GROWTH_TOL:
+        return
+    lam = np.linalg.eigvals(a)
+    lo, hi = 0.0, dt
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if np.max(_rk4_growth(mid * lam)) <= 1 + _RK4_GROWTH_TOL:
+            lo = mid
+        else:
+            hi = mid
+    raise SimulationDiverged(
+        f"time step dt={dt:g}s is unstable from t={t_start:g}s (RK4 step matrix has "
+        f"spectral radius {rho:.6g}); the largest stable dt is {lo:.4g}s"
+    )
+
+
 def _equilibrium(model: DynamicModel, wind: np.ndarray) -> np.ndarray:
     """State at which every converter sits on its droop characteristic."""
     x_inv = 1.0 / model.k_f
@@ -370,12 +409,18 @@ def simulate(
     """
     if model.scenario is None or model.assignment is None:
         raise ScenarioError("simulation needs a model built by assemble_model")
-    if dt <= 0 or t_end <= 0:
-        raise ScenarioError("dt and t_end must be positive")
+    if not (0 < dt < math.inf and 0 < t_end < math.inf):
+        raise ScenarioError("dt and t_end must be positive and finite")
     n_steps = int(round(t_end / dt))
     for ev in events:
         if not 0.0 <= ev.time <= t_end:
             raise ScenarioError(f"event at t={ev.time:g}s outside horizon [0, {t_end:g}]s")
+        steps = ev.time / dt
+        if abs(steps - round(steps)) > _GRID_TOL:
+            raise ScenarioError(
+                f"event at t={ev.time:.12g}s is off the dt={dt:g}s step grid; the nearest "
+                f"grid times are {math.floor(steps) * dt:.12g}s and {math.ceil(steps) * dt:.12g}s"
+            )
 
     all_ids = model.converter_ids
     n_all = len(all_ids)
@@ -403,6 +448,7 @@ def simulate(
         g = np.zeros(2 * m)
         g[m:] = cur.k_f * (eff - cur.p_ref) / cur.tau
         phi, gamma = _rk4_step_matrices(cur.A, dt)
+        _check_step_stable(cur.A, phi, dt, start * dt)
         drive = gamma @ g
 
         count = stop - start + 1
@@ -477,9 +523,11 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     header += [f"freq_pu_{cid}" for cid in traj.converter_ids]
     header += [f"p_pu_{cid}" for cid in traj.converter_ids]
     lines.append(",".join(header))
-    for row in range(traj.time.size):
-        cells = [f"{traj.time[row]:.12g}"]
-        cells += [f"{v:.12g}" for v in traj.freq_pu[row]]
-        cells += [f"{v:.12g}" for v in traj.p_pu[row]]
-        lines.append(",".join(cells))
+    # "%.12g" % float gives the same text as f"{float:.12g}" (nan, inf and -0
+    # included); one format string per block of rows saves a call per cell.
+    table = np.column_stack([traj.time, traj.freq_pu, traj.p_pu])
+    row_fmt = ",".join(["%.12g"] * table.shape[1])
+    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        block = table[start : start + _CSV_BLOCK_ROWS]
+        lines.append("\n".join([row_fmt] * len(block)) % tuple(block.ravel().tolist()))
     return "\n".join(lines) + "\n"

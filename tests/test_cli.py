@@ -49,6 +49,18 @@ def test_hours_csv_rejects_wrong_header():
         hours_from_csv("", fixtures.COUNTRIES)
 
 
+@pytest.mark.parametrize("column", [1, 2])
+def test_hours_csv_rejects_non_finite_wind_and_capacity(column):
+    from droopkit.core import ScenarioError
+
+    lines = hours_to_csv(fixtures.year_hours(n_hours=2, seed=1)).splitlines()
+    cells = lines[2].split(",")
+    cells[column] = "nan"
+    lines[2] = ",".join(cells)
+    with pytest.raises(ScenarioError, match="hour 1: wind_mw and cap_\\* must be finite"):
+        hours_from_csv("\n".join(lines), fixtures.COUNTRIES)
+
+
 def test_hours_csv_round_trip():
     hours = fixtures.year_hours(n_hours=4, seed=1)
     text = hours_to_csv(hours)
@@ -191,3 +203,62 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "solve-droops" in proc.stdout
+
+
+def _assert_one_line_usage_error(rc, capsys, *needles):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("droopkit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def test_simulate_unstable_dt_exits_one_naming_largest_stable_dt(grid_file, tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    rc = main(["simulate", "--grid", str(grid_file), "--alpha", "600", "--dt", "0.1",
+               "--t-end", "30", "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, "dt=0.1s is unstable", "largest stable dt is 0.0557")
+    assert not out.exists()
+
+
+def test_simulate_off_grid_event_exits_one(grid_file, tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    rc = main(["simulate", "--grid", str(grid_file), "--alpha", "600", "--dt", "1e-3",
+               "--t-end", "1", "--event", "outage:UK@0.5005", "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, "off the dt=0.001s step grid", "0.5s and 0.501s")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, poison",
+    [
+        ("p_ref", lambda doc: doc["converters"][2].update(p_ref_mw=float("nan"))),
+        ("s_base_mva", lambda doc: doc["base"].update(s_base_mva=float("nan"))),
+        ("f_nom_hz", lambda doc: doc["base"].update(f_nom_hz=float("inf"))),
+        ("rating_mva", lambda doc: doc["converters"][0].update(rating_mva=float("nan"))),
+        ("x_min", lambda doc: doc["converters"][5].update(x_min=float("nan"))),
+        ("wind injection", lambda doc: doc["wind"][0].update(p_mw=float("nan"))),
+        ("susceptance", lambda doc: doc["network"]["edges"][0].__setitem__(2, float("inf"))),
+    ],
+)
+def test_non_finite_grid_field_exits_one_naming_it(tmp_path, island, capsys, field, poison):
+    doc = grid_to_json(island)
+    poison(doc)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(doc))
+    out = tmp_path / "n1.csv"
+    rc = main(["check-n1", "--grid", str(grid), "--alpha", "600", "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, field, "must be finite")
+    assert not out.exists()
+
+
+def test_check_n1_non_finite_gains_exit_one(grid_file, tmp_path, capsys):
+    out = tmp_path / "n1.csv"
+    rc = main(["check-n1", "--grid", str(grid_file), "--alpha", "nan", "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, "positive and finite")
+    droops = tmp_path / "droops.json"
+    droops.write_text(json.dumps({"x": [100.0] * 5 + [float("inf")]}))
+    rc = main(["check-n1", "--grid", str(grid_file), "--droops", str(droops), "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, "positive and finite")
+    assert not out.exists()

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from droopkit import fixtures
@@ -15,6 +16,8 @@ from droopkit.core import (
 )
 from droopkit.dynamics import (
     ConverterOutage,
+    SimulationDiverged,
+    Trajectory,
     UnstableModelError,
     WindStep,
     _grounded_system,
@@ -385,3 +388,75 @@ def test_trajectory_csv_layout(island, equal600):
     assert header[0] == "time_s"
     assert header[1] == "freq_pu_UK" and header[7] == "p_pu_UK"
     assert len(lines) == 2 + 21
+
+
+def test_unstable_step_rejected_before_integrating_and_names_largest_stable_dt(
+    island, equal600
+):
+    model = assemble_model(island, equal600, 0.02)
+    with pytest.raises(SimulationDiverged, match=r"largest stable dt is 0\.0557") as err:
+        simulate(model, [], dt=0.1, t_end=30.0)
+    assert "from t=0s" in str(err.value)
+    # 2.785 / |lambda|max with |lambda|max = 1 / tau = 50 is stable
+    assert simulate(model, [], dt=0.0557, t_end=1.0).time.size == 19
+
+
+def test_off_grid_event_time_rejected(island, equal600):
+    model = assemble_model(island, equal600, 0.02)
+    with pytest.raises(ScenarioError, match=r"nearest grid times are 0\.5s and 0\.501s"):
+        simulate(model, [ConverterOutage(time=0.5005, converter_id="UK")], dt=1e-3, t_end=1.0)
+    with pytest.raises(ScenarioError, match="positive and finite"):
+        simulate(model, [], dt=1e-3, t_end=float("inf"))
+
+
+def _reference_trajectory_csv(traj):
+    """The per-cell formatter trajectory_to_csv replaced; its bytes are the contract."""
+    lines = []
+    for ev in traj.events:
+        if isinstance(ev, WindStep):
+            lines.append(f"# event: wind step {ev.node} {ev.delta_pu:+.12g} pu @ {ev.time:.12g}s")
+        else:
+            lines.append(f"# event: outage {ev.converter_id} @ {ev.time:.12g}s")
+    header = ["time_s"]
+    header += [f"freq_pu_{cid}" for cid in traj.converter_ids]
+    header += [f"p_pu_{cid}" for cid in traj.converter_ids]
+    lines.append(",".join(header))
+    for row in range(traj.time.size):
+        cells = [f"{traj.time[row]:.12g}"]
+        cells += [f"{v:.12g}" for v in traj.freq_pu[row]]
+        cells += [f"{v:.12g}" for v in traj.p_pu[row]]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL_FLOATS = [
+    np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+    1e300, -1.7976931348623157e308, 1e-300, -3.3e-301, 0.1, 1.0 / 3.0, 123456789012.5,
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.sampled_from([0, 1, 2, 4095, 4096, 4097, 8193]),
+    n_conv=st.integers(1, 4),
+    pool=st.lists(st.floats(allow_subnormal=True), max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    outage=st.booleans(),
+)
+def test_trajectory_csv_bytes_match_per_cell_reference(rows, n_conv, pool, seed, outage):
+    rng = np.random.default_rng(seed)
+    values = np.array(_SPECIAL_FLOATS + pool)
+    freq, power = (rng.choice(values, size=(rows, n_conv)) for _ in range(2))
+    events = (WindStep(time=0.25, node="WF1", delta_pu=-1e-300),)
+    if outage:
+        freq[rows // 2 :, 0] = np.nan
+        power[rows // 2 :, 0] = 0.0
+        events += (ConverterOutage(time=0.5, converter_id="c0"),)
+    traj = Trajectory(
+        time=np.arange(rows) * 1e-3,
+        converter_ids=tuple(f"c{i}" for i in range(n_conv)),
+        freq_pu=freq,
+        p_pu=power,
+        events=events,
+    )
+    assert trajectory_to_csv(traj) == _reference_trajectory_csv(traj)
