@@ -52,6 +52,7 @@ from .security import (
     ContingencyReport,
     droop_response,
     post_fault_flows,
+    post_fault_sharing,
     screen_all_contingencies,
     ssfd,
 )

@@ -80,6 +80,13 @@ def _dump_json(obj, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _list_of(value, field: str, items: str, ok=lambda item: isinstance(item, dict)) -> list:
+    """``value`` if it is a JSON list whose items all pass ``ok`` (default: objects)."""
+    if not (isinstance(value, list) and all(map(ok, value))):
+        raise ScenarioError(f"grid field {field!r} must be a list of {items}")
+    return value
+
+
 def grid_from_json(data: dict) -> GridScenario:
     base = SystemBase(
         s_base_mva=float(data["base"]["s_base_mva"]),
@@ -94,17 +101,22 @@ def grid_from_json(data: dict) -> GridScenario:
             p_max=float(c.get("p_max_pu", 0.95)),
             x_min=float(c.get("x_min", 10.0)),
         )
-        for c in data["converters"]
+        for c in _list_of(data["converters"], "converters", "objects")
     )
     wind = tuple(
-        (str(w["node"]), float(w["p_mw"]) / base.s_base_mva) for w in data.get("wind", [])
+        (str(w["node"]), float(w["p_mw"]) / base.s_base_mva)
+        for w in _list_of(data.get("wind", []), "wind", "objects")
     )
     net = data.get("network")
     if net is None:
         return GridScenario.with_star_network(base, converters, wind)
+    edges = _list_of(net["edges"], "network.edges", "[node, node, susceptance] triples",
+                     lambda e: isinstance(e, list) and len(e) == 3)
+    nodes = _list_of(net["nodes"], "network.nodes", "node ids",
+                     lambda v: not isinstance(v, (list, dict)))
     graph = NetworkGraph(
-        nodes=tuple(str(n) for n in net["nodes"]),
-        edges=tuple((str(u), str(v), float(b)) for u, v, b in net["edges"]),
+        nodes=tuple(str(n) for n in nodes),
+        edges=tuple((str(u), str(v), float(b)) for u, v, b in edges),
         grounded_node=net.get("grounded_node"),
     )
     return GridScenario(base=base, converters=converters, wind_injections=wind, network=graph)
@@ -190,6 +202,10 @@ def hours_from_csv(text: str, link_ids: tuple[str, ...]) -> list[HourScenario]:
     hours = []
     for ln in lines[1:]:
         cells = ln.split(",")
+        if len(cells) != len(expected):
+            raise ScenarioError(
+                f"hours CSV row {ln!r} has {len(cells)} cells, expected {len(expected)}"
+            )
         hour = int(cells[0])
         wind = float(cells[1])
         caps = [float(v) for v in cells[2 : 2 + len(link_ids)]]

@@ -10,12 +10,13 @@ Three solver routes are provided and cross-validate each other:
   of surviving stiffness and its products with the gains are linearized by
   expanding one factor into decimal digits selected by one-hot binaries.
   Solved by an external MILP solver.
-* ``build_milp`` + backend "bnb" — built-in branch and bound.  Because an
-  integral digit selection pins each gain to the 10**psi grid and makes every
-  linearized row exact, the MILP optimum equals the best grid-restricted
-  solution of the exact problem; the built-in solver therefore branches on
-  the grid integrality of the gains themselves over the exact-LP relaxation,
-  which gives far stronger bounds than branching on single digit binaries.
+* backend "bnb" — built-in branch and bound.  Because an integral digit
+  selection pins each gain to the 10**psi grid and makes every linearized row
+  exact, the MILP optimum equals the best grid-restricted solution of the
+  exact problem; the built-in solver therefore branches on the grid
+  integrality of the gains themselves over the exact-LP relaxation, which
+  gives far stronger bounds than branching on single digit binaries, and it
+  never builds the MILP.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog
 from scipy.optimize import milp as _highs_milp
 
 from .core import DroopAssignment, GridScenario, ScenarioError, _readonly
+from .security import post_fault_sharing
 
 DEFAULT_ALPHA = 600.0
 DEFAULT_PSI = -3
@@ -113,17 +115,10 @@ def pair_distance(x: np.ndarray) -> float:
 
 def exact_residual(x: np.ndarray, problem: DroopProblem) -> float:
     """Worst violation (pu) of the exact post-fault limits at assignment x."""
-    x = np.asarray(x, dtype=float)
-    n = problem.n
-    worst = 0.0
-    for k in range(n):
-        share = x / (problem.alpha - x[k])
-        for i in range(n):
-            if i == k:
-                continue
-            flow = problem.p_ref[i] + share[i] * problem.p_ref[k]
-            worst = max(worst, abs(flow) - problem.p_max[i])
-    return max(0.0, worst)
+    _, flows = post_fault_sharing(np.asarray(x, dtype=float), problem.p_ref, problem.alpha)
+    excess = np.abs(flows) - problem.p_max
+    np.fill_diagonal(excess, 0.0)  # the tripped converter itself carries nothing
+    return max(float(excess.max()), 0.0)  # in this order a NaN excess stays NaN
 
 
 @dataclass(frozen=True)
@@ -363,34 +358,24 @@ def _tightened_bounds(problem: DroopProblem):
     slo = 1.0 / ahi
     shi = 1.0 / alo
 
-    z_lo = np.zeros((n, n))
-    z_hi = np.zeros((n, n))
-    for k in range(n):
-        for i in range(n):
-            if i == k:
-                continue
-            lo, hi = slo[k] * xlo[i], shi[k] * xup[i]
-            if p[k] > 0:
-                hi = min(hi, (pmax[i] - p[i]) / p[k])
-                lo = max(lo, (-pmax[i] - p[i]) / p[k])
-            elif p[k] < 0:
-                hi = min(hi, (-pmax[i] - p[i]) / p[k])
-                lo = max(lo, (pmax[i] - p[i]) / p[k])
-            z_lo[k, i], z_hi[k, i] = lo, hi
+    # entry [k, i] bounds the share z of survivor i when converter k trips;
+    # the post-fault limit |p_i + z p_k| <= pmax_i binds z only when p_k != 0
+    pos, neg = (p > 0)[:, None], (p < 0)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = (pmax - p) / p[:, None]
+        lower = (-pmax - p) / p[:, None]
+    z_lo = slo[:, None] * xlo
+    z_hi = shi[:, None] * xup
+    z_hi = np.where(pos, np.minimum(z_hi, upper), np.where(neg, np.minimum(z_hi, lower), z_hi))
+    z_lo = np.where(pos, np.maximum(z_lo, lower), np.where(neg, np.maximum(z_lo, upper), z_lo))
 
-    for i in range(n):
-        cap = min(
-            (z_hi[k, i] / slo[k] for k in range(n) if k != i),
-            default=xup[i],
-        )
-        xup[i] = max(xlo[i], min(xup[i], cap))
+    survivor = ~np.eye(n, dtype=bool)
+    cap = np.min(z_hi / slo[:, None], axis=0, where=survivor, initial=np.inf)
+    xup = np.maximum(xlo, np.minimum(xup, cap))
     alo = alpha - xup
     shi = 1.0 / alo
-    for k in range(n):
-        for i in range(n):
-            if i != k:
-                z_hi[k, i] = min(z_hi[k, i], shi[k] * xup[i])
-                z_lo[k, i] = max(z_lo[k, i], slo[k] * xlo[i])
+    z_hi = np.where(survivor, np.minimum(z_hi, shi[:, None] * xup), 0.0)
+    z_lo = np.where(survivor, np.maximum(z_lo, slo[:, None] * xlo), 0.0)
     return xlo, xup, alo, ahi, slo, shi, z_lo, z_hi
 
 
@@ -416,37 +401,21 @@ def build_milp(problem: DroopProblem) -> MilpModel:
     lb = np.zeros(lay.num_vars)
     ub = np.full(lay.num_vars, np.inf)
     integrality = np.zeros(lay.num_vars, dtype=bool)
-    for i in range(n):
-        lb[lay.x(i)], ub[lay.x(i)] = xlo[i], xup[i]
-    for k in range(n):
-        lb[lay.alpha_k(k)], ub[lay.alpha_k(k)] = alo[k], ahi[k]
-        lb[lay.sigma(k)], ub[lay.sigma(k)] = slo[k], shi[k]
-    for k, i in lay.pairs:
-        j = lay.z(k, i)
-        lb[j], ub[j] = z_lo[k, i], z_hi[k, i]
-    for k in range(n):
-        for a in range(10):
-            for bi in range(lay.np_):
-                ub[lay.sighat_alpha(k, a, bi)] = s_bar[k]
-    for k, i in lay.pairs:
-        for a in range(10):
-            for di in range(lay.np_):
-                ub[lay.sighat_x(k, i, a, di)] = s_bar[k]
-    for m in range(len(lay.tpairs)):
-        ub[lay.t(m)] = float(xup.max() - xlo.min())
-    for k in range(n):
-        for a in range(10):
-            for bi in range(lay.np_):
-                j = lay.y_alpha(k, a, bi)
-                integrality[j] = True
-                # digit impossible when its place value alone overshoots
-                ub[j] = 0.0 if a * place_val[bi] > ahi[k] + 1e-9 else 1.0
-    for i in range(n):
-        for a in range(10):
-            for di in range(lay.np_):
-                j = lay.y_x(i, a, di)
-                integrality[j] = True
-                ub[j] = 0.0 if a * place_val[di] > xup[i] + 1e-9 else 1.0
+    # variables are laid out block by block, and pairs and digit blocks run
+    # outage-major, so each block's bounds are one slice of the layout
+    blk = 10 * lay.np_
+    lb[: lay.off_z] = np.concatenate([xlo, alo, slo])
+    ub[: lay.off_z] = np.concatenate([xup, ahi, shi])
+    survivor = ~np.eye(n, dtype=bool)
+    lb[lay.off_z : lay.off_sa], ub[lay.off_z : lay.off_sa] = z_lo[survivor], z_hi[survivor]
+    ub[lay.off_sa : lay.off_sx] = np.repeat(s_bar, blk)
+    ub[lay.off_sx : lay.off_t] = np.repeat(s_bar, (n - 1) * blk)
+    ub[lay.off_t : lay.off_ya] = float(xup.max() - xlo.min())
+    integrality[lay.off_ya :] = True
+    # a digit is impossible when its place value alone overshoots
+    digit_val = np.arange(10)[:, None] * np.array(place_val)
+    ub[lay.off_ya : lay.off_yx] = (digit_val <= ahi[:, None, None] + 1e-9).ravel()
+    ub[lay.off_yx :] = (digit_val <= xup[:, None, None] + 1e-9).ravel()
 
     eq_r, eq_c, eq_v, b_eq = [], [], [], []
     ub_r, ub_c, ub_v, b_ub = [], [], [], []
@@ -669,7 +638,7 @@ def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def _solve_bnb(model: MilpModel, node_limit: int = 200_000) -> DroopSolution:
+def _solve_bnb(problem: DroopProblem, node_limit: int = 200_000) -> DroopSolution:
     """Built-in branch and bound over the gain grid.
 
     Nodes relax the problem to the exact LP restricted to a grid-aligned box
@@ -679,7 +648,6 @@ def _solve_bnb(model: MilpModel, node_limit: int = 200_000) -> DroopSolution:
     differ by at least one grid quantum, so a bound within one quantum of the
     incumbent proves optimality.
     """
-    problem = model.problem
     q = 10.0**problem.psi
     if not _grid_ok(problem):
         return DroopSolution(
@@ -827,14 +795,19 @@ def solve(model: MilpModel, backend: str = "bnb", **options) -> DroopSolution:
     which case the caller should lower psi.
     """
     if backend == "bnb":
-        sol = _solve_bnb(model, **options)
+        sol = _solve_bnb(model.problem, **options)
     elif backend == "highs":
         sol = _solve_highs(model, **options)
     else:
         raise ValueError(f"unknown MILP backend {backend!r} (expected 'bnb' or 'highs')")
+    return _precision_checked(sol, model.problem)
+
+
+def _precision_checked(sol: DroopSolution, problem: DroopProblem) -> DroopSolution:
+    """``sol``, or its "precision-limited" copy when its residual is too large."""
     if sol.status != "optimal":
         return sol
-    tol = 10.0 * 10.0**model.problem.psi * float(np.max(np.abs(model.problem.p_ref), initial=0.0))
+    tol = 10.0 * 10.0**problem.psi * float(np.max(np.abs(problem.p_ref), initial=0.0))
     if sol.residual > max(tol, _FEAS_TOL):
         return DroopSolution(
             status="precision-limited",
@@ -851,4 +824,6 @@ def solve_problem(problem: DroopProblem, backend: str = "oracle", **options) -> 
     """One-call interface: oracle LP by default, MILP backends on request."""
     if backend == "oracle":
         return solve_exact_oracle(problem, **options)
+    if backend == "bnb":
+        return _precision_checked(_solve_bnb(problem, **options), problem)
     return solve(build_milp(problem), backend=backend, **options)

@@ -78,12 +78,34 @@ class DynamicModel:
         return self.A.shape[0]
 
 
+def _droop_matrices(
+    coupling: np.ndarray, inputs: np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A, B, C of m droop loops over (angles, frequency deviations).
+
+    Angles integrate the frequencies; each frequency is a first-order filter
+    with time constant tau on the gain-weighted flows ``coupling @ angles``
+    (coupling is m x m) and on the disturbances, which ``inputs`` (m x p)
+    maps to the loops; the outputs are the frequencies.
+    """
+    m = coupling.shape[0]
+    a = np.zeros((2 * m, 2 * m))
+    a[:m, m:] = np.eye(m)
+    a[m:, :m] = -coupling / tau
+    a[m:, m:] = -np.eye(m) / tau
+    b = np.zeros((2 * m, inputs.shape[1]))
+    b[m:, :] = -inputs / tau
+    c = np.zeros((m, 2 * m))
+    c[:, m:] = np.eye(m)
+    return a, b, c
+
+
 def assemble_model(
     scenario: GridScenario, assignment: DroopAssignment, tau: float = DEFAULT_TAU
 ) -> DynamicModel:
     """Build the full model of a scenario under a gain assignment."""
-    if tau <= 0:
-        raise ScenarioError("measurement time constant tau must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ScenarioError(f"measurement time constant tau={tau} must be positive and finite")
     if assignment.n != scenario.n:
         raise ScenarioError("assignment does not match scenario converter count")
 
@@ -107,14 +129,7 @@ def assemble_model(
             raise ScenarioError(f"wind node {node} not present in network")
 
     k = np.asarray(assignment.k_f)
-    a = np.zeros((2 * n, 2 * n))
-    a[:n, n:] = np.eye(n)
-    a[n:, :n] = -(k[:, None] * lap) / tau
-    a[n:, n:] = -np.eye(n) / tau
-    b = np.zeros((2 * n, n))
-    b[n:, :] = -np.diag(k) / tau
-    c = np.zeros((n, 2 * n))
-    c[:, n:] = np.eye(n)
+    a, b, c = _droop_matrices(k[:, None] * lap, np.diag(k), tau)
     return DynamicModel(
         A=a,
         B=b,
@@ -144,19 +159,10 @@ def reduce_grounded(model: DynamicModel) -> DynamicModel:
     evals, u = np.linalg.eigh(model.L_B)
     if evals.size < 2 or evals[1] <= 1e-9:
         raise ScenarioError("network has a repeated zero eigenvalue (disconnected)")
-    n = model.L_B.shape[0]
     coupling = u.T @ (model.k_f[:, None] * model.L_B) @ u
     core = coupling[1:, 1:]
     gains_t = (u.T * model.k_f[None, :])[1:, :]  # rows of U^T K_f past the zero mode
-    m = n - 1
-    a = np.zeros((2 * m, 2 * m))
-    a[:m, m:] = np.eye(m)
-    a[m:, :m] = -core / model.tau
-    a[m:, m:] = -np.eye(m) / model.tau
-    b = np.zeros((2 * m, n))
-    b[m:, :] = -gains_t / model.tau
-    c = np.zeros((m, 2 * m))
-    c[:, m:] = np.eye(m)
+    a, b, c = _droop_matrices(core, gains_t, model.tau)
     return DynamicModel(
         A=a,
         B=b,
@@ -199,14 +205,7 @@ def attached_node_h2(k_m: float, tau: float) -> float:
 def _grounded_system(lap_grounded: np.ndarray, gains: np.ndarray, tau: float) -> DynamicModel:
     """Model of a network whose reference node has been removed."""
     m = lap_grounded.shape[0]
-    a = np.zeros((2 * m, 2 * m))
-    a[:m, m:] = np.eye(m)
-    a[m:, :m] = -(gains[:, None] * lap_grounded) / tau
-    a[m:, m:] = -np.eye(m) / tau
-    b = np.zeros((2 * m, m))
-    b[m:, :] = -np.diag(gains) / tau
-    c = np.zeros((m, 2 * m))
-    c[:, m:] = np.eye(m)
+    a, b, c = _droop_matrices(gains[:, None] * lap_grounded, np.diag(gains), tau)
     return DynamicModel(
         A=a,
         B=b,

@@ -170,17 +170,12 @@ def plan_hour(
             status = sol.status
             assignment = sol.assignment if sol.status == "optimal" else None
 
-        if assignment is not None:
-            reports = screen_all_contingencies(assignment, scen)
-            violated = sorted({cid for rep in reports for cid, _ in rep.violations})
-        else:
-            # infeasible optimization: fall back to the equal screen to find
-            # the converters that force the capacity reduction
-            reports = screen_all_contingencies(equal, scen)
-            violated = sorted({cid for rep in reports for cid, _ in rep.violations})
-            if not violated:
-                loaded = int(np.argmax(np.abs(flows)))
-                violated = [template.ids[loaded]]
+        # an infeasible optimization falls back to the equal screen to find
+        # the converters that force the capacity reduction
+        reports = screen_all_contingencies(equal if assignment is None else assignment, scen)
+        violated = sorted({cid for rep in reports for cid, _ in rep.violations})
+        if assignment is None and not violated:
+            violated = [template.ids[int(np.argmax(np.abs(flows)))]]
 
         if not violated:
             return HourRecord(

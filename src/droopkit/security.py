@@ -43,31 +43,41 @@ def droop_response(p_ref: float, x: float, delta_omega: float) -> float:
     return p_ref + x * delta_omega
 
 
-def _outage_index(assignment: DroopAssignment, scenario: GridScenario, outage_id: str) -> int:
+def post_fault_sharing(
+    x: np.ndarray, p_ref: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form outcome of every single-converter outage.
+
+    ``delta[k] = p_ref[k] / (alpha - x[k])`` is the SSFD (pu) after losing
+    converter k, and ``flows[k, i] = p_ref[i] + x[i] * delta[k]`` is the power
+    converter i settles at; the diagonal ``flows[k, k]`` is not a survivor.
+    """
+    delta = p_ref / (alpha - x)
+    return delta, p_ref + x * delta[:, None]
+
+
+def _sharing(assignment: DroopAssignment, scenario: GridScenario, p_ref: np.ndarray):
+    """``post_fault_sharing`` of an assignment at ``p_ref``, the scenario's set-points."""
     if assignment.n != scenario.n:
         raise ScenarioError(
             f"assignment has {assignment.n} gains but scenario has {scenario.n} converters"
         )
-    if scenario.n < 2:
-        raise ScenarioError("outage analysis needs at least 2 converters")
-    return scenario.converter_index(outage_id)
+    return post_fault_sharing(assignment.x, p_ref, assignment.alpha)
 
 
 def ssfd(assignment: DroopAssignment, scenario: GridScenario, outage_id: str) -> float:
     """Steady-state frequency deviation (pu) after losing one converter."""
-    k = _outage_index(assignment, scenario, outage_id)
-    surviving = assignment.alpha - float(assignment.x[k])
-    return float(scenario.p_ref[k]) / surviving
+    delta, _ = _sharing(assignment, scenario, scenario.p_ref)
+    return float(delta[scenario.converter_index(outage_id)])
 
 
 def post_fault_flows(
     assignment: DroopAssignment, scenario: GridScenario, outage_id: str
 ) -> np.ndarray:
     """Post-outage converter powers (pu), over survivors in scenario order."""
-    k = _outage_index(assignment, scenario, outage_id)
-    delta = ssfd(assignment, scenario, outage_id)
-    mask = np.arange(scenario.n) != k
-    return scenario.p_ref[mask] + assignment.x[mask] * delta
+    _, flows = _sharing(assignment, scenario, scenario.p_ref)
+    k = scenario.converter_index(outage_id)
+    return flows[k, np.arange(scenario.n) != k]
 
 
 def screen_all_contingencies(
@@ -81,29 +91,30 @@ def screen_all_contingencies(
     Security is decided on the active-power limits; an SSFD bound is only
     applied when explicitly requested.
     """
+    p_ref, p_max, ids = scenario.p_ref, scenario.p_max, scenario.ids
+    deltas, flows = _sharing(assignment, scenario, p_ref)
+    excesses = np.abs(flows) - p_max
     reports = []
-    for k, conv in enumerate(scenario.converters):
-        delta = ssfd(assignment, scenario, conv.id)
+    for k, outage_id in enumerate(ids):
+        delta = float(deltas[k])
         mask = np.arange(scenario.n) != k
-        flows = scenario.p_ref[mask] + assignment.x[mask] * delta
-        limits = scenario.p_max[mask]
-        ids = tuple(c.id for i, c in enumerate(scenario.converters) if i != k)
+        survivors = ids[:k] + ids[k + 1 :]
         violations = [
             (cid, float(excess))
-            for cid, excess in zip(ids, np.abs(flows) - limits)
+            for cid, excess in zip(survivors, excesses[k, mask])
             if excess > VIOLATION_TOL
         ]
         if ssfd_limit_pu is not None and abs(delta) > ssfd_limit_pu:
-            violations.append((conv.id, abs(delta) - ssfd_limit_pu))
+            violations.append((outage_id, abs(delta) - ssfd_limit_pu))
         reports.append(
             ContingencyReport(
-                outage_id=conv.id,
-                ssfd_pu=float(delta),
+                outage_id=outage_id,
+                ssfd_pu=delta,
                 ssfd_hz=deviation_hz(delta, scenario.base),
-                survivor_ids=ids,
-                p_pre=scenario.p_ref[mask],
-                p_post=flows,
-                p_limit=limits,
+                survivor_ids=survivors,
+                p_pre=p_ref[mask],
+                p_post=flows[k, mask],
+                p_limit=p_max[mask],
                 violations=tuple(violations),
             )
         )

@@ -262,3 +262,45 @@ def test_check_n1_non_finite_gains_exit_one(grid_file, tmp_path, capsys):
     rc = main(["check-n1", "--grid", str(grid_file), "--droops", str(droops), "--out", str(out)])
     _assert_one_line_usage_error(rc, capsys, "positive and finite")
     assert not out.exists()
+
+
+def test_market_loop_short_hours_row_exits_one(grid_file, hours_file, tmp_path, capsys):
+    lines = hours_file.read_text().splitlines()
+    hours_file.write_text("\n".join(lines[:2] + ["1,2"] + lines[3:]) + "\n")
+    out = tmp_path / "out"
+    rc = main(["market-loop", "--grid", str(grid_file), "--hours", str(hours_file),
+               "--policy", "equal", "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, "hours CSV row '1,2'", "2 cells, expected 9")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, poison",
+    [
+        ("'converters'", lambda doc: doc.update(converters=5)),
+        ("'converters'", lambda doc: doc["converters"].append("UK")),
+        ("'wind'", lambda doc: doc.update(wind={"node": "WF1"})),
+        ("'network.edges'", lambda doc: doc["network"].update(edges=5)),
+        ("'network.edges'", lambda doc: doc["network"]["edges"][0].pop()),
+        ("'network.nodes'", lambda doc: doc["network"].update(nodes=5)),
+    ],
+)
+def test_malformed_grid_json_exits_one_naming_field(tmp_path, island, capsys, field, poison):
+    doc = grid_to_json(island)
+    poison(doc)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(doc))
+    out = tmp_path / "n1.csv"
+    rc = main(["check-n1", "--grid", str(grid), "--alpha", "600", "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, f"grid field {field} must be a list")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["h2", "simulate"])
+@pytest.mark.parametrize("tau", ["inf", "nan", "-inf"])
+def test_non_finite_tau_exits_one_naming_it(grid_file, tmp_path, capsys, command, tau):
+    out = tmp_path / "out"
+    rc = main([command, "--grid", str(grid_file), "--alpha", "600", f"--tau={tau}",
+               "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, f"tau={tau} must be positive and finite")
+    assert not out.exists()

@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from droopkit.core import DroopAssignment
@@ -11,6 +11,7 @@ from droopkit.droop_opt import (
     DroopSolution,
     StiffnessError,
     _exact_lp,
+    _tightened_bounds,
     build_exact_problem,
     build_milp,
     digit_expansion,
@@ -247,6 +248,110 @@ def test_precision_limited_status_mapping(monkeypatch):
 # ---------------------------------------------------------------------------
 # randomized equivalence and properties
 # ---------------------------------------------------------------------------
+
+
+def _reference_exact_residual(x, problem):
+    """Worst post-fault excess as a (k, i) double loop over outage and survivor."""
+    worst = 0.0
+    for k in range(problem.n):
+        share = x / (problem.alpha - x[k])
+        for i in range(problem.n):
+            if i != k:
+                flow = problem.p_ref[i] + share[i] * problem.p_ref[k]
+                worst = max(worst, abs(flow) - problem.p_max[i])
+    return max(0.0, worst)
+
+
+@given(st.integers(0, 10_000), st.floats(50.0, 1000.0))
+@settings(max_examples=200, deadline=None)
+def test_exact_residual_matches_double_loop(seed, alpha):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    prob = DroopProblem(alpha=alpha, x_min=np.full(n, 1.0), p_ref=rng.uniform(-1.0, 1.0, n),
+                        p_max=rng.uniform(0.05, 1.0, n))
+    candidates = (rng.uniform(1.0, alpha / n, n), np.full(n, alpha / n),
+                  rng.dirichlet(np.ones(n)) * alpha)
+    for x in candidates:
+        assert exact_residual(x, prob) == pytest.approx(
+            _reference_exact_residual(x, prob), rel=0, abs=1e-12
+        )
+
+
+def _reference_z_bounds(problem):
+    """Share bounds of _tightened_bounds, element by element over (k, i)."""
+    n, p, pmax, alpha = problem.n, problem.p_ref, problem.p_max, problem.alpha
+    xlo, xup = problem.x_min.copy(), problem.x_upper.copy()
+    slo, shi = 1.0 / (alpha - xlo), 1.0 / (alpha - xup)
+    z_lo, z_hi = np.zeros((n, n)), np.zeros((n, n))
+    for k in range(n):
+        for i in range(n):
+            if i == k:
+                continue
+            lo, hi = slo[k] * xlo[i], shi[k] * xup[i]
+            if p[k] > 0:
+                hi = min(hi, (pmax[i] - p[i]) / p[k])
+                lo = max(lo, (-pmax[i] - p[i]) / p[k])
+            elif p[k] < 0:
+                hi = min(hi, (-pmax[i] - p[i]) / p[k])
+                lo = max(lo, (pmax[i] - p[i]) / p[k])
+            z_lo[k, i], z_hi[k, i] = lo, hi
+    for i in range(n):
+        cap = min((z_hi[k, i] / slo[k] for k in range(n) if k != i), default=xup[i])
+        xup[i] = max(xlo[i], min(xup[i], cap))
+    shi = 1.0 / (alpha - xup)
+    for k in range(n):
+        for i in range(n):
+            if i != k:
+                z_hi[k, i] = min(z_hi[k, i], shi[k] * xup[i])
+                z_lo[k, i] = max(z_lo[k, i], slo[k] * xlo[i])
+    return xup, z_lo, z_hi
+
+
+def _reference_milp_bounds(model, problem):
+    """Variable bounds and integrality of build_milp, set one variable at a time."""
+    lay, n, s_bar = model.layout, problem.n, problem.s_bar
+    xlo, xup, alo, ahi, slo, shi, z_lo, z_hi = _tightened_bounds(problem)
+    place_val = [10.0**b for b in lay.places]
+    lb, ub = np.zeros(lay.num_vars), np.full(lay.num_vars, np.inf)
+    integrality = np.zeros(lay.num_vars, dtype=bool)
+    for i in range(n):
+        lb[lay.x(i)], ub[lay.x(i)] = xlo[i], xup[i]
+    for k in range(n):
+        lb[lay.alpha_k(k)], ub[lay.alpha_k(k)] = alo[k], ahi[k]
+        lb[lay.sigma(k)], ub[lay.sigma(k)] = slo[k], shi[k]
+        for a in range(10):
+            for bi in range(lay.np_):
+                ub[lay.sighat_alpha(k, a, bi)] = s_bar[k]
+                ub[lay.y_alpha(k, a, bi)] = 0.0 if a * place_val[bi] > ahi[k] + 1e-9 else 1.0
+                ub[lay.y_x(k, a, bi)] = 0.0 if a * place_val[bi] > xup[k] + 1e-9 else 1.0
+                integrality[[lay.y_alpha(k, a, bi), lay.y_x(k, a, bi)]] = True
+    for k, i in lay.pairs:
+        lb[lay.z(k, i)], ub[lay.z(k, i)] = z_lo[k, i], z_hi[k, i]
+        for a in range(10):
+            for di in range(lay.np_):
+                ub[lay.sighat_x(k, i, a, di)] = s_bar[k]
+    for m in range(len(lay.tpairs)):
+        ub[lay.t(m)] = float(xup.max() - xlo.min())
+    return lb, ub, integrality
+
+
+@given(st.integers(0, 10_000), st.sampled_from([-3, -2, -1]))
+@settings(max_examples=40, deadline=None)
+def test_bounds_match_elementwise_reference_bit_for_bit(seed, psi):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    p = rng.uniform(-0.95, 0.95, n)
+    p[rng.random(n) < 0.25] = 0.0  # a zero set-point leaves its shares unbounded by limits
+    prob = DroopProblem(alpha=float(rng.choice([100.0, 600.0])), x_min=rng.uniform(1.0, 15.0, n),
+                        p_ref=p, p_max=rng.uniform(0.5, 1.0, n), psi=psi)
+    _, xup, _, _, _, _, z_lo, z_hi = _tightened_bounds(prob)
+    for got, want in zip((xup, z_lo, z_hi), _reference_z_bounds(prob)):
+        assert got.tobytes() == want.tobytes()
+    model = build_milp(prob)
+    for got, want in zip((model.lb, model.ub, model.integrality),
+                         _reference_milp_bounds(model, prob)):
+        assert got.tobytes() == want.tobytes()
+
 
 
 def test_random_equivalence_oracle_vs_bnb():

@@ -20,6 +20,7 @@ from droopkit.dynamics import (
     Trajectory,
     UnstableModelError,
     WindStep,
+    _droop_matrices,
     _grounded_system,
     _rk4_step_matrices,
     assemble_model,
@@ -110,6 +111,60 @@ def test_wind_at_converter_node_maps_directly():
     scen = GridScenario(base, conv, (("a", 0.2),), net)
     model = assemble_model(scen, DroopAssignment.equal(200.0, 2), tau=0.02)
     assert np.allclose(model.wind_map, [[1.0], [0.0]])
+
+
+def _reference_gain_blocks(k, lap, tau):
+    """A, B, C as assemble_model and _grounded_system wrote them out inline."""
+    n = k.size
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = np.eye(n)
+    a[n:, :n] = -(k[:, None] * lap) / tau
+    a[n:, n:] = -np.eye(n) / tau
+    b = np.zeros((2 * n, n))
+    b[n:, :] = -np.diag(k) / tau
+    c = np.zeros((n, 2 * n))
+    c[:, n:] = np.eye(n)
+    return a, b, c
+
+
+def _reference_reduced_blocks(core, gains_t, tau):
+    """A, B, C as reduce_grounded wrote them out inline."""
+    m, n = gains_t.shape
+    a = np.zeros((2 * m, 2 * m))
+    a[:m, m:] = np.eye(m)
+    a[m:, :m] = -core / tau
+    a[m:, m:] = -np.eye(m) / tau
+    b = np.zeros((2 * m, n))
+    b[m:, :] = -gains_t / tau
+    c = np.zeros((m, 2 * m))
+    c[:, m:] = np.eye(m)
+    return a, b, c
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_droop_matrices_match_inline_assembly_exactly(seed):
+    rng = np.random.default_rng(seed)
+    tau = float(rng.uniform(0.005, 0.2))
+    model = assemble_model(
+        fixtures.island_scenario(), DroopAssignment(rng.uniform(20.0, 200.0, 6)), tau
+    )
+    k, lap = model.k_f, model.L_B
+    _, u = np.linalg.eigh(lap)
+    core, gains_t = (u.T @ (k[:, None] * lap) @ u)[1:, 1:], (u.T * k[None, :])[1:, :]
+    cases = [
+        ((model.A, model.B, model.C), _reference_gain_blocks(k, lap, tau)),
+        (_droop_matrices(k[:, None] * lap, np.diag(k), tau), _reference_gain_blocks(k, lap, tau)),
+        (_droop_matrices(core, gains_t, tau), _reference_reduced_blocks(core, gains_t, tau)),
+    ]
+    red = reduce_grounded(model)
+    cases.append(((red.A, red.B, red.C), _reference_reduced_blocks(core, gains_t, tau)))
+    grounded = _grounded_system(lap[1:, 1:], k[1:], tau)
+    cases.append(
+        ((grounded.A, grounded.B, grounded.C), _reference_gain_blocks(k[1:], lap[1:, 1:], tau))
+    )
+    for built, reference in cases:
+        for got, want in zip(built, reference):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

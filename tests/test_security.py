@@ -6,6 +6,7 @@ from droopkit.core import Converter, DroopAssignment, GridScenario, ScenarioErro
 from droopkit.security import (
     droop_response,
     post_fault_flows,
+    post_fault_sharing,
     reports_to_csv,
     screen_all_contingencies,
     ssfd,
@@ -146,6 +147,38 @@ def test_share_monotone_in_own_gain(seed):
     bigger = x.copy()
     bigger[i] *= 1.5
     assert alpha_off(bigger)[i] > alpha_off(x)[i]
+
+
+def _reference_screen_sharing(x, p_ref):
+    """Per-outage SSFD and survivor flows, computed the way the screen once
+    did: one outage at a time, in Python floats for the deviation."""
+    alpha = float(x.sum())
+    deltas, flows = [], []
+    for k in range(x.size):
+        delta = float(p_ref[k]) / (alpha - float(x[k]))
+        mask = np.arange(x.size) != k
+        deltas.append(delta)
+        flows.append(p_ref[mask] + x[mask] * delta)
+    return deltas, flows
+
+
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.floats(1e-3, 1e4), min_size=n, max_size=n),
+            st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_post_fault_sharing_matches_per_outage_screen_bit_for_bit(data):
+    x, p_ref = (np.array(v, dtype=float) for v in data)
+    delta, flows = post_fault_sharing(x, p_ref, float(x.sum()))
+    ref_delta, ref_flows = _reference_screen_sharing(x, p_ref)
+    assert delta.shape == (x.size,) and flows.shape == (x.size, x.size)
+    for k in range(x.size):
+        assert np.array(ref_delta[k]).tobytes() == delta[k].tobytes()
+        assert ref_flows[k].tobytes() == flows[k, np.arange(x.size) != k].tobytes()
 
 
 @given(st.integers(0, 2_000), st.floats(0.1, 5.0))
