@@ -44,7 +44,7 @@ from .core import (
     SystemBase,
     validate_scenario,
 )
-from .droop_opt import DroopProblem, DroopSolution, StiffnessError, solve_problem
+from .droop_opt import DroopSolution, StiffnessError, build_exact_problem, solve_problem
 from .dynamics import (
     ConverterOutage,
     SimulationDiverged,
@@ -80,44 +80,96 @@ def _dump_json(obj, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _list_of(value, field: str, items: str, ok=lambda item: isinstance(item, dict)) -> list:
-    """``value`` if it is a JSON list whose items all pass ``ok`` (default: objects)."""
-    if not (isinstance(value, list) and all(map(ok, value))):
-        raise ScenarioError(f"grid field {field!r} must be a list of {items}")
-    return value
+_REQUIRED = object()
+
+
+def _is(kind: type):
+    """Converter passing values of type ``kind`` through and rejecting the rest."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"not a {kind.__name__}")
+        return value
+    return check
+
+
+def _list(item):
+    """Converter of a JSON list, applying ``item`` to every entry."""
+    return lambda value: [item(v) for v in _is(list)(value)]
+
+
+def _node(value) -> str:
+    if isinstance(value, (list, dict)):
+        raise TypeError("a node id is a scalar")
+    return str(value)
+
+
+def _edge(value) -> tuple[str, str, float]:
+    u, v, b = _is(list)(value)
+    return str(u), str(v), float(b)
+
+
+# (description, converter) pairs; a converter raises TypeError or ValueError
+# on a value of the wrong type
+_NUMBER = ("a number", float)
+_NUMBERS = ("a list of numbers", _list(float))
+_ID = ("an id", str)
+_OBJECT = ("an object", _is(dict))
+_OBJECTS = ("a list of objects", _list(_is(dict)))
+_NODES = ("a list of node ids", _list(_node))
+_EDGES = ("a list of [node, node, susceptance] triples", _list(_edge))
+
+
+def _field(doc, key: str, kind=_NUMBER, *, at: str = "", file: str = "grid", default=_REQUIRED):
+    """``doc[key]`` converted as ``kind``, or ``default`` when the key is absent.
+
+    A null counts as absent where the default is None.  A ``doc`` that is no
+    JSON object, a missing required key, or a value of the wrong type raises
+    ScenarioError naming the field as ``at.key`` in the ``file``.
+    """
+    name = f"{at}.{key}" if at else key
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{file} file must hold a JSON object")
+    value = doc.get(key, default)
+    if value is _REQUIRED:
+        raise ScenarioError(f"{file} field {name!r} is missing")
+    if value is None and default is None:
+        return None
+    what, convert = kind
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{file} field {name!r} must be {what}") from None
 
 
 def grid_from_json(data: dict) -> GridScenario:
+    base_doc = _field(data, "base", _OBJECT)
     base = SystemBase(
-        s_base_mva=float(data["base"]["s_base_mva"]),
-        f_nom_hz=float(data["base"].get("f_nom_hz", 50.0)),
-        omega_ref=float(data["base"].get("omega_ref", 1.0)),
+        s_base_mva=_field(base_doc, "s_base_mva", at="base"),
+        f_nom_hz=_field(base_doc, "f_nom_hz", at="base", default=50.0),
+        omega_ref=_field(base_doc, "omega_ref", at="base", default=1.0),
     )
-    converters = tuple(
-        Converter(
-            id=str(c["id"]),
-            rating_mva=float(c["rating_mva"]),
-            p_ref=float(c["p_ref_mw"]) / base.s_base_mva,
-            p_max=float(c.get("p_max_pu", 0.95)),
-            x_min=float(c.get("x_min", 10.0)),
-        )
-        for c in _list_of(data["converters"], "converters", "objects")
-    )
-    wind = tuple(
-        (str(w["node"]), float(w["p_mw"]) / base.s_base_mva)
-        for w in _list_of(data.get("wind", []), "wind", "objects")
-    )
-    net = data.get("network")
+    converters = []
+    for j, c in enumerate(_field(data, "converters", _OBJECTS)):
+        at = f"converters[{j}]"
+        converters.append(Converter(
+            id=_field(c, "id", _ID, at=at),
+            rating_mva=_field(c, "rating_mva", at=at),
+            p_ref=_field(c, "p_ref_mw", at=at) / base.s_base_mva,
+            p_max=_field(c, "p_max_pu", at=at, default=0.95),
+            x_min=_field(c, "x_min", at=at, default=10.0),
+        ))
+    wind = []
+    for j, w in enumerate(_field(data, "wind", _OBJECTS, default=[])):
+        at = f"wind[{j}]"
+        wind.append((_field(w, "node", _ID, at=at), _field(w, "p_mw", at=at) / base.s_base_mva))
+    net = _field(data, "network", _OBJECT, default=None)
     if net is None:
         return GridScenario.with_star_network(base, converters, wind)
-    edges = _list_of(net["edges"], "network.edges", "[node, node, susceptance] triples",
-                     lambda e: isinstance(e, list) and len(e) == 3)
-    nodes = _list_of(net["nodes"], "network.nodes", "node ids",
-                     lambda v: not isinstance(v, (list, dict)))
     graph = NetworkGraph(
-        nodes=tuple(str(n) for n in nodes),
-        edges=tuple((str(u), str(v), float(b)) for u, v, b in edges),
-        grounded_node=net.get("grounded_node"),
+        nodes=tuple(_field(net, "nodes", _NODES, at="network")),
+        edges=tuple(_field(net, "edges", _EDGES, at="network")),
+        grounded_node=_field(net, "grounded_node", ("a node id", _is(str)), at="network",
+                             default=None),
     )
     return GridScenario(base=base, converters=converters, wind_injections=wind, network=graph)
 
@@ -177,13 +229,17 @@ def droops_to_json(solution: DroopSolution, ids: tuple[str, ...]) -> dict:
 
 def load_droops(path: str | Path, scenario: GridScenario) -> DroopAssignment:
     data = json.loads(Path(path).read_text())
-    if data.get("x") is None:
-        raise ScenarioError(f"droops file {path} holds no solution (status {data.get('status')})")
-    x = [float(v) for v in data["x"]]
-    ids = data.get("ids")
+    x = _field(data, "x", _NUMBERS, file="droops", default=None)
+    if x is None:
+        status = _field(data, "status", ("a string", str), file="droops", default=None)
+        raise ScenarioError(f"droops file {path} holds no solution (status {status})")
+    ids = _field(data, "ids", ("a list of converter ids", _list(_is(str))), file="droops",
+                 default=None)
     if ids:
         if sorted(ids) != sorted(scenario.ids):
             raise ScenarioError("droops file ids do not match the grid")
+        if len(x) != len(ids):
+            raise ScenarioError(f"droops field 'x' has {len(x)} gains but 'ids' has {len(ids)}")
         by_id = dict(zip(ids, x))
         x = [by_id[cid] for cid in scenario.ids]
     elif len(x) != scenario.n:
@@ -251,13 +307,7 @@ def _assignment_from_args(args, scenario: GridScenario) -> DroopAssignment:
 def cmd_solve_droops(args) -> int:
     scenario = load_grid(args.grid)
     try:
-        problem = DroopProblem(
-            alpha=args.alpha,
-            x_min=scenario.x_min,
-            p_ref=scenario.p_ref,
-            p_max=scenario.p_max,
-            psi=args.precision,
-        )
+        problem = build_exact_problem(scenario, args.alpha, args.precision)
     except StiffnessError as exc:
         solution = DroopSolution("infeasible", None, None, 0.0, note=str(exc))
         _dump_json(droops_to_json(solution, scenario.ids), Path(args.out))
@@ -342,11 +392,11 @@ def cmd_market_loop(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     lines = ["hour,link,capacity_mw,flow_mw,reduced_mw,secure"]
-    row_fmt = "%d,%s,%.12g,%.12g,%.12g,%s"
+    # every planned hour ends N-1 secure, so the last column is always true
+    row_fmt = "%d,%s,%.12g,%.12g,%.12g,true"
     for rec in run.records:
-        secure = str(rec.secure).lower()
         lines.extend(
-            row_fmt % (rec.hour, cid, cap, flow, red, secure)
+            row_fmt % (rec.hour, cid, cap, flow, red)
             for cid, cap, flow, red in zip(
                 run.link_ids,
                 rec.capacity_mw.tolist(),

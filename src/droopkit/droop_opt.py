@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,12 +31,13 @@ from scipy.optimize import Bounds, LinearConstraint, linprog
 from scipy.optimize import milp as _highs_milp
 
 from .core import DroopAssignment, GridScenario, ScenarioError, _readonly
-from .security import post_fault_sharing
+from .security import VIOLATION_TOL, post_fault_sharing
 
 DEFAULT_ALPHA = 600.0
 DEFAULT_PSI = -3
 
-_FEAS_TOL = 1e-9
+#: Exact-limit excess (pu) treated as noise: the N-1 screen's own tolerance.
+_FEAS_TOL = VIOLATION_TOL
 
 
 class StiffnessError(ScenarioError):
@@ -90,20 +92,11 @@ class DroopProblem:
 
 
 def build_exact_problem(
-    scenario: GridScenario,
-    alpha: float = DEFAULT_ALPHA,
-    psi: int = DEFAULT_PSI,
-    eta: int | None = None,
+    scenario: GridScenario, alpha: float = DEFAULT_ALPHA, psi: int = DEFAULT_PSI
 ) -> DroopProblem:
     """Problem instance for a scenario at the given stiffness target."""
-    return DroopProblem(
-        alpha=float(alpha),
-        x_min=scenario.x_min,
-        p_ref=scenario.p_ref,
-        p_max=scenario.p_max,
-        psi=psi,
-        eta=eta,
-    )
+    return DroopProblem(alpha=float(alpha), x_min=scenario.x_min, p_ref=scenario.p_ref,
+                        p_max=scenario.p_max, psi=psi)
 
 
 def pair_distance(x: np.ndarray) -> float:
@@ -138,6 +131,31 @@ class DroopSolution:
 # ---------------------------------------------------------------------------
 
 
+def _limit_rows(problem: DroopProblem):
+    """The N-1 limits ``|p_i + z_ki p_k| <= p_max,i`` as flat arrays ``(k, i, a, b)``.
+
+    Per ordered pair (k, i != k), outage-major, an upper row ``a = p_k, b =
+    p_max,i - p_i`` precedes a lower row ``a = -p_k, b = p_max,i + p_i``.  On the
+    share ``z_ki`` a row reads ``a z_ki <= b``; multiplied through by the
+    surviving stiffness, on the gains it reads ``a x_i + b x_k <= b alpha``.
+    """
+    p, pmax = problem.p_ref, problem.p_max
+    k, i = np.nonzero(~np.eye(problem.n, dtype=bool))
+    a = np.column_stack([p[k], -p[k]]).ravel()
+    b = np.column_stack([pmax[i] - p[i], pmax[i] + p[i]]).ravel()
+    return np.repeat(k, 2), np.repeat(i, 2), a, b
+
+
+def _epigraph_rows(n: int):
+    """Rows ``s x_i - s x_c - t_m <= 0`` (s = 1, then -1) as flat arrays ``(i, c, m, s)``.
+
+    Together they give ``|x_i - x_c| <= t_m`` for the m-th pair i < c, row-major.
+    """
+    i, c = np.triu_indices(n, k=1)
+    m = np.arange(i.size)
+    return np.repeat(i, 2), np.repeat(c, 2), np.repeat(m, 2), np.tile([1.0, -1.0], i.size)
+
+
 def _exact_lp(problem: DroopProblem):
     """Matrices of the exact problem as an LP over (x, t).
 
@@ -146,41 +164,29 @@ def _exact_lp(problem: DroopProblem):
     objective is lifted with one epigraph variable per converter pair.
     """
     n = problem.n
-    pairs = [(i, c) for i in range(n) for c in range(i + 1, n)]
-    nv = n + len(pairs)
+    lk, li, la, lb = _limit_rows(problem)
+    ei, ec, em, es = _epigraph_rows(n)
+    n_pairs = n * (n - 1) // 2
+    nv = n + n_pairs
     cvec = np.zeros(nv)
     cvec[n:] = 1.0
 
-    rows, rhs = [], []
-    p, pmax, alpha = problem.p_ref, problem.p_max, problem.alpha
-    for k in range(n):
-        for i in range(n):
-            if i == k:
-                continue
-            up = np.zeros(nv)
-            up[i] += p[k]
-            up[k] += pmax[i] - p[i]
-            rows.append(up)
-            rhs.append((pmax[i] - p[i]) * alpha)
-            lo = np.zeros(nv)
-            lo[i] -= p[k]
-            lo[k] += pmax[i] + p[i]
-            rows.append(lo)
-            rhs.append((pmax[i] + p[i]) * alpha)
-    for m, (i, c) in enumerate(pairs):
-        for sign in (1.0, -1.0):
-            row = np.zeros(nv)
-            row[i] = sign
-            row[c] = -sign
-            row[n + m] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
+    a_ub = np.zeros((la.size + es.size, nv))
+    rows = np.arange(la.size)
+    # added onto zeros, so the -0.0 of a zero set-point's lower row is stored as +0.0
+    a_ub[rows, li] += la
+    a_ub[rows, lk] += lb
+    rows = la.size + np.arange(es.size)
+    a_ub[rows, ei] = es
+    a_ub[rows, ec] = -es
+    a_ub[rows, n + em] = -1.0
+    b_ub = np.concatenate([lb * problem.alpha, np.zeros(es.size)])
 
     a_eq = np.zeros((1, nv))
     a_eq[0, :n] = 1.0
     bounds = [(float(problem.x_min[i]), float(problem.x_upper[i])) for i in range(n)]
-    bounds += [(0.0, None)] * len(pairs)
-    return cvec, np.array(rows), np.array(rhs), a_eq, np.array([alpha]), bounds
+    bounds += [(0.0, None)] * n_pairs
+    return cvec, a_ub, b_ub, a_eq, np.array([problem.alpha]), bounds
 
 
 def solve_exact_oracle(problem: DroopProblem, tie_break: bool = True) -> DroopSolution:
@@ -379,6 +385,22 @@ def _tightened_bounds(problem: DroopProblem):
     return xlo, xup, alo, ahi, slo, shi, z_lo, z_hi
 
 
+class _Rows:
+    """Sparse constraint rows gathered one at a time."""
+
+    def __init__(self):
+        self.r, self.c, self.v, self.rhs = [], [], [], []
+
+    def add(self, cols, vals, rhs):
+        self.r.extend([len(self.rhs)] * len(cols))
+        self.c.extend(cols)
+        self.v.extend(vals)
+        self.rhs.append(rhs)
+
+    def matrix(self, num_vars: int) -> sp.csr_matrix:
+        return sp.coo_matrix((self.v, (self.r, self.c)), shape=(len(self.rhs), num_vars)).tocsr()
+
+
 def build_milp(problem: DroopProblem) -> MilpModel:
     """Assemble the digit-expansion MILP.
 
@@ -393,7 +415,7 @@ def build_milp(problem: DroopProblem) -> MilpModel:
     """
     lay = _MilpLayout(problem.n, problem.psi, problem.eta)
     n = problem.n
-    alpha, p, pmax = problem.alpha, problem.p_ref, problem.p_max
+    alpha = problem.alpha
     s_bar = problem.s_bar
     xlo, xup, alo, ahi, slo, shi, z_lo, z_hi = _tightened_bounds(problem)
     place_val = [10.0**b for b in lay.places]
@@ -417,22 +439,44 @@ def build_milp(problem: DroopProblem) -> MilpModel:
     ub[lay.off_ya : lay.off_yx] = (digit_val <= ahi[:, None, None] + 1e-9).ravel()
     ub[lay.off_yx :] = (digit_val <= xup[:, None, None] + 1e-9).ravel()
 
-    eq_r, eq_c, eq_v, b_eq = [], [], [], []
-    ub_r, ub_c, ub_v, b_ub = [], [], [], []
+    eq, le = _Rows(), _Rows()  # equality and <= rows
+    eq_row, ub_row = eq.add, le.add
 
-    def eq_row(cols, vals, rhs):
-        r = len(b_eq)
-        eq_r.extend([r] * len(cols))
-        eq_c.extend(cols)
-        eq_v.extend(vals)
-        b_eq.append(rhs)
+    # a digit block is indexed by (digit a, place b); ``digit`` and ``copy``
+    # below are layout methods with their leading indices bound
+    digits = [(a, b) for a in range(10) for b in range(lay.np_)]
+    weights = [a * place_val[b] for a, b in digits]
+    # -a with a an int, so the a = 0 weight is +0.0 rather than -0.0
+    neg_weights = [-a * place_val[b] for a, b in digits]
 
-    def ub_row(cols, vals, rhs):
-        r = len(b_ub)
-        ub_r.extend([r] * len(cols))
-        ub_c.extend(cols)
-        ub_v.extend(vals)
-        b_ub.append(rhs)
+    def digit_value(digit, head=None):
+        """head = sum of a * place_val[b] * digit(a, b); with no head that sum is 1."""
+        cols = [digit(a, b) for a, b in digits]
+        if head is None:
+            eq_row(cols, weights, 1.0)
+        else:
+            eq_row([head] + cols, [1.0] + neg_weights, 0.0)
+
+    def one_hot(digit, b):
+        eq_row([digit(a, b) for a in range(10)], [1.0] * 10, 1.0)
+
+    def copies(k, copy, b):
+        """The ten copies of place b disaggregate the reciprocal sigma_k."""
+        eq_row([lay.sigma(k)] + [copy(a, b) for a in range(10)], [1.0] + [-1.0] * 10, 0.0)
+
+    def activation(k, copy, digit):
+        """A copy is zero unless its digit is selected."""
+        for a, b in digits:
+            ub_row([copy(a, b), digit(a, b)], [1.0, -s_bar[k]], 0.0)
+
+    def mccormick(w, u, v, u_lo, u_hi, v_lo, v_hi):
+        """Envelope of w = u * v, under then over; w None is the constant product 1."""
+        corners = ((1.0, u_lo, v_lo), (1.0, u_hi, v_hi), (-1.0, u_hi, v_lo), (-1.0, u_lo, v_hi))
+        for s, bu, bv in corners:
+            if w is None:
+                ub_row([v, u], [s * bu, s * bv], s * bu * bv + s)
+            else:
+                ub_row([w, v, u], [-s, s * bu, s * bv], s * bu * bv)
 
     # stiffness budget and per-outage surviving stiffness
     eq_row([lay.x(i) for i in range(n)], [1.0] * n, alpha)
@@ -440,123 +484,66 @@ def build_milp(problem: DroopProblem) -> MilpModel:
         eq_row([lay.alpha_k(k), lay.x(k)], [1.0, 1.0], alpha)
 
     for k in range(n):
-        # one-hot decimal expansion of the surviving stiffness
-        cols = [lay.alpha_k(k)]
-        vals = [1.0]
-        for a in range(10):
-            for bi in range(lay.np_):
-                cols.append(lay.y_alpha(k, a, bi))
-                vals.append(-a * place_val[bi])
-        eq_row(cols, vals, 0.0)
-        # reciprocal coupling through the disaggregated copies
-        cols, vals = [], []
-        for a in range(10):
-            for bi in range(lay.np_):
-                cols.append(lay.sighat_alpha(k, a, bi))
-                vals.append(a * place_val[bi])
-        eq_row(cols, vals, 1.0)
-        for bi in range(lay.np_):
-            eq_row(
-                [lay.sigma(k)] + [lay.sighat_alpha(k, a, bi) for a in range(10)],
-                [1.0] + [-1.0] * 10,
-                0.0,
-            )
-            eq_row([lay.y_alpha(k, a, bi) for a in range(10)], [1.0] * 10, 1.0)
-        for a in range(10):
-            for bi in range(lay.np_):
-                ub_row(
-                    [lay.sighat_alpha(k, a, bi), lay.y_alpha(k, a, bi)],
-                    [1.0, -s_bar[k]],
-                    0.0,
-                )
+        # one-hot decimal expansion of the surviving stiffness, and its
+        # reciprocal coupled through the disaggregated copies
+        digit, copy = partial(lay.y_alpha, k), partial(lay.sighat_alpha, k)
+        digit_value(digit, head=lay.alpha_k(k))
+        digit_value(copy)
+        for b in range(lay.np_):
+            copies(k, copy, b)
+            one_hot(digit, b)
+        activation(k, copy, digit)
 
     for i in range(n):
         # one-hot decimal expansion of each gain
-        cols = [lay.x(i)]
-        vals = [1.0]
-        for a in range(10):
-            for di in range(lay.np_):
-                cols.append(lay.y_x(i, a, di))
-                vals.append(-a * place_val[di])
-        eq_row(cols, vals, 0.0)
-        for di in range(lay.np_):
-            eq_row([lay.y_x(i, a, di) for a in range(10)], [1.0] * 10, 1.0)
+        digit = partial(lay.y_x, i)
+        digit_value(digit, head=lay.x(i))
+        for b in range(lay.np_):
+            one_hot(digit, b)
 
     for k, i in lay.pairs:
-        for di in range(lay.np_):
-            eq_row(
-                [lay.sigma(k)] + [lay.sighat_x(k, i, a, di) for a in range(10)],
-                [1.0] + [-1.0] * 10,
-                0.0,
-            )
-        cols = [lay.z(k, i)]
-        vals = [1.0]
-        for a in range(10):
-            for di in range(lay.np_):
-                cols.append(lay.sighat_x(k, i, a, di))
-                vals.append(-a * place_val[di])
-        eq_row(cols, vals, 0.0)
-        for a in range(10):
-            for di in range(lay.np_):
-                ub_row(
-                    [lay.sighat_x(k, i, a, di), lay.y_x(i, a, di)],
-                    [1.0, -s_bar[k]],
-                    0.0,
-                )
+        # each share from the reciprocal's copies over the gain's digits
+        copy = partial(lay.sighat_x, k, i)
+        for b in range(lay.np_):
+            copies(k, copy, b)
+        digit_value(copy, head=lay.z(k, i))
+        activation(k, copy, partial(lay.y_x, i))
 
-    # recovered linear post-fault limits
-    for k, i in lay.pairs:
-        ub_row([lay.z(k, i)], [p[k]], pmax[i] - p[i])
-        ub_row([lay.z(k, i)], [-p[k]], pmax[i] + p[i])
+    # recovered linear post-fault limits on the shares
+    limits = [arr.tolist() for arr in _limit_rows(problem)]
+    for k, i, a, b in zip(*limits):
+        ub_row([lay.z(k, i)], [a], b)
 
     # epigraph of the pairwise-gap objective
-    for m, (i, c) in enumerate(lay.tpairs):
-        ub_row([lay.x(i), lay.x(c), lay.t(m)], [1.0, -1.0, -1.0], 0.0)
-        ub_row([lay.x(i), lay.x(c), lay.t(m)], [-1.0, 1.0, -1.0], 0.0)
+    for i, c, m, s in zip(*[arr.tolist() for arr in _epigraph_rows(n)]):
+        ub_row([lay.x(i), lay.x(c), lay.t(m)], [s, -s, -1.0], 0.0)
 
     # valid strengthening: shares of any outage sum to one
     for k in range(n):
         eq_row([lay.z(k, i) for i in range(n) if i != k], [1.0] * (n - 1), 1.0)
 
-    # valid strengthening: McCormick envelopes of z = sigma * x
+    # valid strengthening: McCormick envelopes of z = sigma * x and of
+    # sigma * surviving stiffness = 1
     for k, i in lay.pairs:
-        zj, sj, xj = lay.z(k, i), lay.sigma(k), lay.x(i)
-        ub_row([zj, xj, sj], [-1.0, slo[k], xlo[i]], slo[k] * xlo[i])
-        ub_row([zj, xj, sj], [-1.0, shi[k], xup[i]], shi[k] * xup[i])
-        ub_row([zj, xj, sj], [1.0, -shi[k], -xlo[i]], -shi[k] * xlo[i])
-        ub_row([zj, xj, sj], [1.0, -slo[k], -xup[i]], -slo[k] * xup[i])
-
-    # valid strengthening: envelopes of sigma * surviving stiffness = 1
+        mccormick(lay.z(k, i), lay.sigma(k), lay.x(i), slo[k], shi[k], xlo[i], xup[i])
     for k in range(n):
-        aj, sj = lay.alpha_k(k), lay.sigma(k)
-        ub_row([aj, sj], [slo[k], alo[k]], 1.0 + slo[k] * alo[k])
-        ub_row([aj, sj], [shi[k], ahi[k]], 1.0 + shi[k] * ahi[k])
-        ub_row([aj, sj], [-shi[k], -alo[k]], -1.0 - shi[k] * alo[k])
-        ub_row([aj, sj], [-slo[k], -ahi[k]], -1.0 - slo[k] * ahi[k])
+        mccormick(None, lay.sigma(k), lay.alpha_k(k), slo[k], shi[k], alo[k], ahi[k])
 
     # valid strengthening: the exact linear rows of the oracle
-    for k, i in lay.pairs:
-        ub_row([lay.x(i), lay.x(k)], [p[k], pmax[i] - p[i]], (pmax[i] - p[i]) * alpha)
-        ub_row([lay.x(i), lay.x(k)], [-p[k], pmax[i] + p[i]], (pmax[i] + p[i]) * alpha)
+    for k, i, a, b in zip(*limits):
+        ub_row([lay.x(i), lay.x(k)], [a, b], b * alpha)
 
     c = np.zeros(lay.num_vars)
-    for m in range(len(lay.tpairs)):
-        c[lay.t(m)] = 1.0
+    c[lay.off_t : lay.off_ya] = 1.0
 
-    a_eq = sp.coo_matrix(
-        (eq_v, (eq_r, eq_c)), shape=(len(b_eq), lay.num_vars)
-    ).tocsr()
-    a_ub = sp.coo_matrix(
-        (ub_v, (ub_r, ub_c)), shape=(len(b_ub), lay.num_vars)
-    ).tocsr()
     return MilpModel(
         problem=problem,
         layout=lay,
         c=c,
-        a_eq=a_eq,
-        b_eq=np.array(b_eq),
-        a_ub=a_ub,
-        b_ub=np.array(b_ub),
+        a_eq=eq.matrix(lay.num_vars),
+        b_eq=np.array(eq.rhs),
+        a_ub=le.matrix(lay.num_vars),
+        b_ub=np.array(le.rhs),
         lb=lb,
         ub=ub,
         integrality=integrality,

@@ -54,9 +54,10 @@ class DynamicModel:
 
     States are stacked (angles, frequency deviations); disturbances enter as
     power offsets at the converter terminals; outputs are the frequency
-    deviations.  Full models keep enough context (scenario, assignment, wind
-    map) to be simulated and rebuilt after an outage; reduced models are for
-    norm computations only.
+    deviations.  Full models carry the scenario, assignment and wind map they
+    were built from, so they can be simulated and rebuilt after an outage;
+    a model whose ``scenario`` is None (reduced or grounded) is for norm
+    computations only.
     """
 
     A: np.ndarray
@@ -65,17 +66,9 @@ class DynamicModel:
     tau: float
     k_f: np.ndarray
     L_B: np.ndarray
-    converter_ids: tuple[str, ...]
-    reduced: bool = False
     wind_map: np.ndarray | None = None
-    wind_nodes: tuple[str, ...] = ()
-    p_ref: np.ndarray | None = None
     scenario: GridScenario | None = None
     assignment: DroopAssignment | None = None
-
-    @property
-    def n_states(self) -> int:
-        return self.A.shape[0]
 
 
 def _droop_matrices(
@@ -117,10 +110,8 @@ def assemble_model(
     drop_nodes = [node for i, node in enumerate(net.nodes) if i not in set(conv_idx)]
     drop_pos = {node: j for j, node in enumerate(drop_nodes)}
     conv_pos = {c.id: i for i, c in enumerate(scenario.converters)}
-    n = scenario.n
-    wind_nodes = tuple(node for node, _ in scenario.wind_injections)
-    wind_map = np.zeros((n, len(wind_nodes)))
-    for col, node in enumerate(wind_nodes):
+    wind_map = np.zeros((scenario.n, len(scenario.wind_injections)))
+    for col, (node, _) in enumerate(scenario.wind_injections):
         if node in conv_pos:
             wind_map[conv_pos[node], col] = 1.0
         elif node in drop_pos:
@@ -130,20 +121,8 @@ def assemble_model(
 
     k = np.asarray(assignment.k_f)
     a, b, c = _droop_matrices(k[:, None] * lap, np.diag(k), tau)
-    return DynamicModel(
-        A=a,
-        B=b,
-        C=c,
-        tau=tau,
-        k_f=k,
-        L_B=lap,
-        converter_ids=scenario.ids,
-        wind_map=wind_map,
-        wind_nodes=wind_nodes,
-        p_ref=scenario.p_ref,
-        scenario=scenario,
-        assignment=assignment,
-    )
+    return DynamicModel(A=a, B=b, C=c, tau=tau, k_f=k, L_B=lap, wind_map=wind_map,
+                        scenario=scenario, assignment=assignment)
 
 
 def reduce_grounded(model: DynamicModel) -> DynamicModel:
@@ -154,7 +133,7 @@ def reduce_grounded(model: DynamicModel) -> DynamicModel:
     is removed, which is the grounded-node picture of the same network.  The
     result has 2(n-1) states and is Hurwitz for any connected network.
     """
-    if model.reduced:
+    if model.scenario is None:
         return model
     evals, u = np.linalg.eigh(model.L_B)
     if evals.size < 2 or evals[1] <= 1e-9:
@@ -163,16 +142,7 @@ def reduce_grounded(model: DynamicModel) -> DynamicModel:
     core = coupling[1:, 1:]
     gains_t = (u.T * model.k_f[None, :])[1:, :]  # rows of U^T K_f past the zero mode
     a, b, c = _droop_matrices(core, gains_t, model.tau)
-    return DynamicModel(
-        A=a,
-        B=b,
-        C=c,
-        tau=model.tau,
-        k_f=model.k_f,
-        L_B=np.diag(evals[1:]),
-        converter_ids=model.converter_ids,
-        reduced=True,
-    )
+    return DynamicModel(A=a, B=b, C=c, tau=model.tau, k_f=model.k_f, L_B=np.diag(evals[1:]))
 
 
 def h2_norm(model: DynamicModel) -> float:
@@ -204,18 +174,8 @@ def attached_node_h2(k_m: float, tau: float) -> float:
 
 def _grounded_system(lap_grounded: np.ndarray, gains: np.ndarray, tau: float) -> DynamicModel:
     """Model of a network whose reference node has been removed."""
-    m = lap_grounded.shape[0]
     a, b, c = _droop_matrices(gains[:, None] * lap_grounded, np.diag(gains), tau)
-    return DynamicModel(
-        A=a,
-        B=b,
-        C=c,
-        tau=tau,
-        k_f=gains,
-        L_B=lap_grounded,
-        converter_ids=tuple(f"g{i}" for i in range(m)),
-        reduced=True,
-    )
+    return DynamicModel(A=a, B=b, C=c, tau=tau, k_f=gains, L_B=lap_grounded)
 
 
 @dataclass(frozen=True)
@@ -252,9 +212,9 @@ def h2_decomposition_check(
     must equal the sum of the base network's and the two single-node
     subsystems'; both sides are computed independently by Lyapunov solves.
     """
-    if model.reduced:
+    if model.scenario is None:
         raise ScenarioError("decomposition check needs the full model")
-    ids = list(model.converter_ids)
+    ids = list(model.scenario.ids)
     g = ids.index(ground_id) if ground_id is not None else len(ids) - 1
     keep = [i for i in range(len(ids)) if i != g]
     lap_base = model.L_B[np.ix_(keep, keep)]
@@ -383,8 +343,9 @@ def _equilibrium(model: DynamicModel, wind: np.ndarray) -> np.ndarray:
     x_inv = 1.0 / model.k_f
     alpha = float(x_inv.sum())
     eff = model.wind_map @ wind
-    dev = (float(eff.sum()) - float(model.p_ref.sum())) / alpha
-    target = model.p_ref + x_inv * dev
+    p_ref = model.scenario.p_ref
+    dev = (float(eff.sum()) - float(p_ref.sum())) / alpha
+    target = p_ref + x_inv * dev
     theta, *_ = np.linalg.lstsq(model.L_B, eff - target, rcond=None)
     n = model.L_B.shape[0]
     state = np.zeros(2 * n)
@@ -421,16 +382,14 @@ def simulate(
                 f"grid times are {math.floor(steps) * dt:.12g}s and {math.ceil(steps) * dt:.12g}s"
             )
 
-    all_ids = model.converter_ids
+    all_ids = model.scenario.ids
     n_all = len(all_ids)
     times = np.arange(n_steps + 1) * dt
     freq = np.full((n_steps + 1, n_all), np.nan)
     power = np.zeros((n_steps + 1, n_all))
 
-    scen = model.scenario
-    assign = model.assignment
     cur = model
-    wind = np.array([p for _, p in scen.wind_injections], dtype=float)
+    wind = np.array([p for _, p in model.scenario.wind_injections], dtype=float)
     state = _equilibrium(cur, wind)
 
     ordered = sorted(events, key=lambda e: (e.time, isinstance(e, WindStep)))
@@ -441,11 +400,12 @@ def simulate(
     start = 0
     for stop, event in breakpoints:
         stop = min(max(stop, start), n_steps)
-        m = len(cur.converter_ids)
+        scen = cur.scenario
+        m = scen.n
         lap = cur.L_B
         eff = cur.wind_map @ wind
         g = np.zeros(2 * m)
-        g[m:] = cur.k_f * (eff - cur.p_ref) / cur.tau
+        g[m:] = cur.k_f * (eff - scen.p_ref) / cur.tau
         phi, gamma = _rk4_step_matrices(cur.A, dt)
         _check_step_stable(cur.A, phi, dt, start * dt)
         drive = gamma @ g
@@ -470,14 +430,14 @@ def simulate(
                 "check gains and time step"
             )
 
-        cols = [col_of[cid] for cid in cur.converter_ids]
+        cols = [col_of[cid] for cid in scen.ids]
         freq[start : stop + 1, cols] = states[:, m:]
         power[start : stop + 1, cols] = states[:, :m] @ (-lap.T) + eff
 
         if event is None:
             break
         if isinstance(event, WindStep):
-            hits = [j for j, node in enumerate(cur.wind_nodes) if node == event.node]
+            hits = [j for j, (node, _) in enumerate(scen.wind_injections) if node == event.node]
             if not hits:
                 raise ScenarioError(f"wind step at unknown wind node {event.node!r}")
             wind[hits[0]] += event.delta_pu
@@ -486,16 +446,13 @@ def simulate(
             if scen.n - 1 < 2:
                 raise ScenarioError("cannot simulate an outage below 2 converters")
             keep = [i for i in range(scen.n) if i != gone]
-            pos = [j for j, cid in enumerate(cur.converter_ids) if cid != event.converter_id]
-            old_m = len(cur.converter_ids)
-            scen = dataclasses.replace(
+            survivors = dataclasses.replace(
                 scen, converters=tuple(scen.converters[i] for i in keep)
             )
-            assign = DroopAssignment(assign.x[keep])
-            cur = assemble_model(scen, assign, cur.tau)
+            cur = assemble_model(survivors, DroopAssignment(cur.assignment.x[keep]), cur.tau)
             # survivors keep their angle and frequency states across the trip;
             # the sample at the event instant reflects the post-event network
-            state = np.concatenate([state[:old_m][pos], state[old_m:][pos]])
+            state = np.concatenate([state[:m][keep], state[m:][keep]])
             freq[stop, col_of[event.converter_id]] = np.nan
             power[stop, col_of[event.converter_id]] = 0.0
         start = stop

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DroopAssignment, GridScenario, ScenarioError, _readonly
-from .droop_opt import DroopProblem, solve_problem
+from .droop_opt import build_exact_problem, solve_problem
 from .security import screen_all_contingencies
 
 DEFAULT_STEP_MW = 50.0
@@ -96,7 +96,6 @@ class HourRecord:
     curtailed_mwh: float
     droop_status: str
     x: np.ndarray
-    secure: bool = True
 
 
 @dataclass
@@ -163,10 +162,7 @@ def plan_hour(
         status = "equal"
         assignment: DroopAssignment | None = equal
         if policy == "adaptive":
-            problem = DroopProblem(
-                alpha=alpha, x_min=scen.x_min, p_ref=scen.p_ref, p_max=scen.p_max, psi=psi
-            )
-            sol = solve_problem(problem, backend=backend)
+            sol = solve_problem(build_exact_problem(scen, alpha, psi), backend=backend)
             status = sol.status
             assignment = sol.assignment if sol.status == "optimal" else None
 

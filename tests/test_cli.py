@@ -296,6 +296,54 @@ def test_malformed_grid_json_exits_one_naming_field(tmp_path, island, capsys, fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "message, poison",
+    [
+        ("grid field 'converters[0].rating_mva' must be a number",
+         lambda doc: doc["converters"][0].update(rating_mva=[1])),
+        ("grid file must hold a JSON object", lambda doc: [doc]),
+        ("grid field 'base' must be an object", lambda doc: doc.update(base=5)),
+        ("grid field 'base.s_base_mva' is missing", lambda doc: doc["base"].clear()),
+        ("grid field 'network' must be an object", lambda doc: doc.update(network=[1])),
+        ("grid field 'network.grounded_node' must be a node id",
+         lambda doc: doc["network"].update(grounded_node=["a"])),
+        ("grid field 'network.edges' must be a list of [node, node, susceptance] triples",
+         lambda doc: doc["network"]["edges"][0].__setitem__(2, [1])),
+    ],
+)
+def test_mistyped_grid_field_exits_one_naming_it(tmp_path, island, capsys, message, poison):
+    doc = grid_to_json(island)
+    doc = poison(doc) or doc
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(doc))
+    out = tmp_path / "n1.csv"
+    rc = main(["check-n1", "--grid", str(grid), "--alpha", "600", "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "message, droops",
+    [
+        ("droops file must hold a JSON object", lambda ids: [100.0] * 6),
+        ("droops field 'x' must be a list of numbers", lambda ids: {"x": 5}),
+        ("droops field 'ids' must be a list of converter ids",
+         lambda ids: {"x": [100.0] * 6, "ids": 5}),
+        ("droops field 'ids' must be a list of converter ids",
+         lambda ids: {"x": [100.0] * 6, "ids": [[ids[0]]] + ids[1:]}),
+        ("droops field 'x' has 5 gains but 'ids' has 6",
+         lambda ids: {"x": [100.0] * 5, "ids": ids}),
+    ],
+)
+def test_mistyped_droops_field_exits_one_naming_it(grid_file, tmp_path, island, capsys,
+                                                   message, droops):
+    path = tmp_path / "droops.json"
+    path.write_text(json.dumps(droops(list(island.ids))))
+    out = tmp_path / "n1.csv"
+    rc = main(["check-n1", "--grid", str(grid_file), "--droops", str(path), "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, message)
+    assert not out.exists()
+
 @pytest.mark.parametrize("command", ["h2", "simulate"])
 @pytest.mark.parametrize("tau", ["inf", "nan", "-inf"])
 def test_non_finite_tau_exits_one_naming_it(grid_file, tmp_path, capsys, command, tau):

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -353,6 +354,109 @@ def test_bounds_match_elementwise_reference_bit_for_bit(seed, psi):
         assert got.tobytes() == want.tobytes()
 
 
+
+def _reference_exact_lp(problem):
+    """_exact_lp row by row: two limit rows per (outage k, survivor i), then the epigraph."""
+    n = problem.n
+    pairs = [(i, c) for i in range(n) for c in range(i + 1, n)]
+    nv = n + len(pairs)
+    cvec = np.zeros(nv)
+    cvec[n:] = 1.0
+    rows, rhs = [], []
+    p, pmax, alpha = problem.p_ref, problem.p_max, problem.alpha
+    for k in range(n):
+        for i in range(n):
+            if i == k:
+                continue
+            up = np.zeros(nv)
+            up[i] += p[k]
+            up[k] += pmax[i] - p[i]
+            rows.append(up)
+            rhs.append((pmax[i] - p[i]) * alpha)
+            lo = np.zeros(nv)
+            lo[i] -= p[k]
+            lo[k] += pmax[i] + p[i]
+            rows.append(lo)
+            rhs.append((pmax[i] + p[i]) * alpha)
+    for m, (i, c) in enumerate(pairs):
+        for sign in (1.0, -1.0):
+            row = np.zeros(nv)
+            row[i] = sign
+            row[c] = -sign
+            row[n + m] = -1.0
+            rows.append(row)
+            rhs.append(0.0)
+    a_eq = np.zeros((1, nv))
+    a_eq[0, :n] = 1.0
+    bounds = [(float(problem.x_min[i]), float(problem.x_upper[i])) for i in range(n)]
+    bounds += [(0.0, None)] * len(pairs)
+    return cvec, np.array(rows), np.array(rhs), a_eq, np.array([alpha]), bounds
+
+
+@given(st.integers(2, 8), st.integers(0, 10_000), st.sampled_from([100.0, 450.0, 600.0]))
+@settings(max_examples=150, deadline=None)
+def test_exact_lp_matches_row_by_row_reference_bytes(n, seed, alpha):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-0.9, 0.92, n)
+    p[rng.random(n) < 0.25] = 0.0  # the lower row of a zero set-point holds -0.0 + 0.0
+    p_max = np.full(n, 0.95)
+    tight = rng.random(n) < 0.3
+    p_max[tight] = np.maximum(np.abs(p[tight]), 0.05)  # p_max = |p_ref|: no headroom
+    prob = DroopProblem(alpha=alpha, x_min=rng.choice([5.0, 10.0, 12.5], n), p_ref=p,
+                        p_max=p_max)
+    got, want = _exact_lp(prob), _reference_exact_lp(prob)
+    for g, w in zip(got[:5], want[:5]):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert got[5] == want[5]
+
+
+def _fixed_milp_problem(alpha, p, p_max=None, x_min=None, psi=-3, eta=None):
+    n = len(p)
+    return DroopProblem(alpha=alpha, x_min=np.full(n, 10.0) if x_min is None else np.array(x_min),
+                        p_ref=np.array(p, dtype=float),
+                        p_max=np.full(n, 0.95) if p_max is None else np.array(p_max),
+                        psi=psi, eta=eta)
+
+
+# sha256 over every array build_milp returns (the CSR parts of both matrices
+# included), recorded when the MILP was first assembled row by row
+MILP_DIGESTS = [
+    ("6509dd134639ca30d42dfa52125b9bcb4068a29060d91ee8a250befd4a27c3fb",
+     dict(alpha=300.0, p=[0.9, 0.5, 0.1])),
+    ("caeec677c769aa09c2b258aef4db3bfa4caef05526fbe125cad7394ad791807a",
+     dict(alpha=100.0, p=[0.2, 0.1], psi=-2)),
+    ("781410478e51e5d548c2d113b8f0ec000dc8c3d8cff4c48d3a65d64d6431819c",
+     dict(alpha=600.0, p=[0.5, 0.0, -0.25, 0.3], psi=-1)),
+    ("86ed9e371d1de116bc9679066047792ab1734642c30e02fa32ebb80db55f7039",
+     dict(alpha=600.0, p=[0.95, 0.4, -0.2, 0.0, 0.6], p_max=[0.95, 0.95, 0.95, 0.9, 0.95],
+          psi=-2)),
+    ("da0a6a0cbbdebe9e0dd0e213ffd868cb94089da414b13f37cbc85ce5e2d46bf8", "island"),
+    ("17631009afa04b552569ff7752487f217a083b820c8b0b5bd005f65694ff2de2",
+     dict(alpha=150.0, p=[0.0, 0.0, 0.0], x_min=[10.0, 20.0, 30.0], psi=-1)),
+    ("5e4eba78af3a72df9af0bced1f3fc894ba27e01bad7a9a1e9352b386c21a304b",
+     dict(alpha=450.0, p=[0.8, -0.3, 0.0, 0.55, -0.1, 0.2],
+          p_max=[0.9, 0.3, 0.95, 0.55, 0.95, 0.95],
+          x_min=[10.0, 15.0, 10.0, 25.0, 10.0, 12.5], psi=-2)),
+    ("e48f5ca52eda14924934cb6ab149dee4d2fd2c79d0d40916adb074ca2562d660",
+     dict(alpha=1000.0, p=[-0.9, -0.3, 0.5, 0.7], p_max=[0.9, 0.95, 0.8, 0.95], eta=4)),
+]
+
+
+@pytest.mark.parametrize("digest, spec", MILP_DIGESTS)
+def test_build_milp_arrays_match_recorded_digests(island, digest, spec):
+    prob = build_exact_problem(island, 600.0) if spec == "island" else _fixed_milp_problem(**spec)
+    model = build_milp(prob)
+    parts = {"c": model.c, "b_eq": model.b_eq, "b_ub": model.b_ub, "lb": model.lb,
+             "ub": model.ub, "integrality": model.integrality}
+    for name in ("a_eq", "a_ub"):
+        mat = getattr(model, name)
+        parts.update({f"{name}.data": mat.data, f"{name}.indices": mat.indices,
+                      f"{name}.indptr": mat.indptr})
+    h = hashlib.sha256()
+    for key in sorted(parts):
+        h.update(key.encode())
+        h.update(np.ascontiguousarray(parts[key]).tobytes())
+    assert h.hexdigest() == digest
 
 def test_random_equivalence_oracle_vs_bnb():
     rng = np.random.default_rng(7)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from droopkit import fixtures
+from droopkit import fixtures, market
 from droopkit.core import DroopAssignment, ScenarioError
 from droopkit.market import (
     BidSegment,
@@ -136,7 +136,6 @@ def test_planning_records_are_secure_and_conserve_wind(island):
     for policy in ("equal", "adaptive"):
         run = plan(island, hours, policy=policy)
         for hour, rec in zip(hours, run.records):
-            assert rec.secure
             assert rec.flow_mw.sum() + rec.curtailed_mwh == pytest.approx(hour.wind_mw)
             assert np.all(rec.capacity_mw <= rec.offered_mw + 1e-12)
             scen = island
@@ -175,7 +174,8 @@ def test_policy_validation(island):
 def test_adaptive_hour_through_milp_backend(island):
     hour = hour3_hour()
     rec = plan_hour(island, hour, policy="adaptive", backend="bnb")
-    assert rec.secure and rec.iterations == 0
+    scen = market._scenario_with_flows(island, rec.flow_mw / island.base.s_base_mva)
+    assert is_secure(DroopAssignment(rec.x), scen) and rec.iterations == 0
     assert rec.droop_status == "optimal"
     # gains land on the digit grid
     assert np.allclose(np.round(rec.x / 1e-3) * 1e-3, rec.x)
