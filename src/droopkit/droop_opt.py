@@ -22,7 +22,9 @@ Three solver routes are provided and cross-validate each other:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+import sys
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -60,6 +62,11 @@ class DroopProblem:
         object.__setattr__(self, "x_min", _readonly(self.x_min))
         object.__setattr__(self, "p_ref", _readonly(self.p_ref))
         object.__setattr__(self, "p_max", _readonly(self.p_max))
+        if not math.isfinite(self.alpha):
+            raise ScenarioError(f"alpha={self.alpha:g} must be finite")
+        for name in ("x_min", "p_ref", "p_max"):  # a few entries: faster than np.isfinite
+            if not all(map(math.isfinite, getattr(self, name).tolist())):
+                raise ScenarioError(f"{name} entries must be finite")
         if not self.x_min.size == self.p_ref.size == self.p_max.size:
             raise ScenarioError("x_min, p_ref and p_max must have equal length")
         if self.n < 2:
@@ -192,10 +199,19 @@ def _exact_lp(problem: DroopProblem):
 def solve_exact_oracle(problem: DroopProblem, tie_break: bool = True) -> DroopSolution:
     """Globally optimal solve of the exact gain-selection problem.
 
-    Among alternate optima a secondary solve minimizes an index-weighted sum
-    of the gains over the optimal face, so repeated runs and symmetric
-    instances yield one reproducible vertex.
+    The all-equal point ``alpha/n`` is the unique zero of the objective, so
+    when it is within bounds and N-1 secure it is returned without an LP.
+    Otherwise, among alternate optima a secondary solve minimizes an
+    index-weighted sum of the gains over the optimal face, so repeated runs
+    and symmetric instances yield one reproducible vertex.
     """
+    n = problem.n
+    equal = np.full(n, problem.alpha / n)
+    if np.all(equal >= problem.x_min - 1e-12):
+        residual = exact_residual(equal, problem)
+        if residual <= _FEAS_TOL:
+            return DroopSolution("optimal", DroopAssignment(equal), 0.0, residual, backend="oracle")
+
     cvec, a_ub, b_ub, a_eq, b_eq, bounds = _exact_lp(problem)
     res = linprog(cvec, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status == 2:
@@ -203,41 +219,23 @@ def solve_exact_oracle(problem: DroopProblem, tie_break: bool = True) -> DroopSo
     if res.status != 0:
         raise RuntimeError(f"oracle LP failed with status {res.status}: {res.message}")
 
-    n = problem.n
     x = res.x[:n]
     if tie_break:
         fstar = float(cvec @ res.x)
+        face_tol = 1e-9 * max(1.0, abs(fstar))
         a_ub2 = np.vstack([a_ub, cvec])
-        b_ub2 = np.append(b_ub, fstar + 1e-9 * max(1.0, abs(fstar)))
+        b_ub2 = np.append(b_ub, fstar + face_tol)
         c2 = np.zeros_like(cvec)
         c2[:n] = 0.5 ** np.arange(n)
-        second = linprog(
-            c2, A_ub=a_ub2, b_ub=b_ub2, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
-        )
+        second = linprog(c2, A_ub=a_ub2, b_ub=b_ub2, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+                         method="highs")
         # keep the refined vertex only if it stays on the optimal face
-        if second.status == 0 and pair_distance(second.x[:n]) <= pair_distance(x) + 1e-9 * max(
-            1.0, abs(fstar)
-        ):
+        if second.status == 0 and pair_distance(second.x[:n]) <= pair_distance(x) + face_tol:
             x = second.x[:n]
 
     x = np.clip(x, problem.x_min, problem.x_upper)
-    # the all-equal point is the unique zero of the objective; snap to it when
-    # the solver lands within noise of it and it is feasible
-    equal = np.full(n, problem.alpha / n)
-    if (
-        pair_distance(x) <= 1e-8 * max(1.0, problem.alpha)
-        and np.all(equal >= problem.x_min - 1e-12)
-        and exact_residual(equal, problem) <= _FEAS_TOL
-    ):
-        x = equal
-    assignment = DroopAssignment(x)
-    return DroopSolution(
-        status="optimal",
-        assignment=assignment,
-        objective=pair_distance(x),
-        residual=exact_residual(x, problem),
-        backend="oracle",
-    )
+    return DroopSolution("optimal", DroopAssignment(x), pair_distance(x),
+                         exact_residual(x, problem), backend="oracle")
 
 
 # ---------------------------------------------------------------------------
@@ -637,14 +635,8 @@ def _solve_bnb(problem: DroopProblem, node_limit: int = 200_000) -> DroopSolutio
     """
     q = 10.0**problem.psi
     if not _grid_ok(problem):
-        return DroopSolution(
-            "infeasible",
-            None,
-            None,
-            0.0,
-            backend="bnb",
-            note=f"alpha={problem.alpha:g} is not representable on the 10^{problem.psi} grid",
-        )
+        note = f"alpha={problem.alpha:g} is not representable on the 10^{problem.psi} grid"
+        return DroopSolution("infeasible", None, None, 0.0, backend="bnb", note=note)
 
     cvec, a_ub, b_ub, a_eq, b_eq, base_bounds = _exact_lp(problem)
     n = problem.n
@@ -742,7 +734,12 @@ def _solve_bnb(problem: DroopProblem, node_limit: int = 200_000) -> DroopSolutio
 
 
 def _solve_highs(model: MilpModel, time_limit: float | None = None) -> DroopSolution:
-    """Pass the digit-expansion MILP to the external HiGHS solver."""
+    """Pass the digit-expansion MILP to the external HiGHS solver.
+
+    HiGHS prints some debug lines with a raw ``printf`` that no ``milp``
+    option gates, so file descriptor 1 points at ``os.devnull`` for the
+    duration of the call and is restored afterwards.
+    """
     constraints = [
         LinearConstraint(model.a_eq, model.b_eq, model.b_eq),
         LinearConstraint(model.a_ub, -np.inf, model.b_ub),
@@ -750,13 +747,18 @@ def _solve_highs(model: MilpModel, time_limit: float | None = None) -> DroopSolu
     options = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = time_limit
-    res = _highs_milp(
-        c=model.c,
-        constraints=constraints,
-        integrality=model.integrality.astype(int),
-        bounds=Bounds(model.lb, model.ub),
-        options=options,
-    )
+    sys.stdout.flush()
+    saved_stdout = os.dup(1)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    try:
+        res = _highs_milp(c=model.c, constraints=constraints,
+                          integrality=model.integrality.astype(int),
+                          bounds=Bounds(model.lb, model.ub), options=options)
+    finally:
+        os.dup2(saved_stdout, 1)
+        os.close(saved_stdout)
     if res.status == 2:
         return DroopSolution("infeasible", None, None, 0.0, backend="highs")
     if res.status != 0 or res.x is None:
@@ -796,14 +798,8 @@ def _precision_checked(sol: DroopSolution, problem: DroopProblem) -> DroopSoluti
         return sol
     tol = 10.0 * 10.0**problem.psi * float(np.max(np.abs(problem.p_ref), initial=0.0))
     if sol.residual > max(tol, _FEAS_TOL):
-        return DroopSolution(
-            status="precision-limited",
-            assignment=sol.assignment,
-            objective=sol.objective,
-            residual=sol.residual,
-            backend=sol.backend,
-            note=f"exact residual {sol.residual:.3e} exceeds precision tolerance {tol:.3e}",
-        )
+        note = f"exact residual {sol.residual:.3e} exceeds precision tolerance {tol:.3e}"
+        return replace(sol, status="precision-limited", note=note)
     return sol
 
 

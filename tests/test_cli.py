@@ -352,3 +352,19 @@ def test_non_finite_tau_exits_one_naming_it(grid_file, tmp_path, capsys, command
                "--out", str(out)])
     _assert_one_line_usage_error(rc, capsys, f"tau={tau} must be positive and finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan", "-inf"])
+def test_solve_droops_non_finite_alpha_exits_one(grid_file, tmp_path, capsys, alpha):
+    out = tmp_path / "droops.json"
+    rc = main(["solve-droops", "--grid", str(grid_file), f"--alpha={alpha}", "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, f"alpha={alpha} must be finite")
+    assert not out.exists()
+
+
+def test_solve_droops_highs_leaves_stdout_empty(grid_file, tmp_path, capfd):
+    out = tmp_path / "droops.json"
+    rc = main(["solve-droops", "--grid", str(grid_file), "--backend", "highs", "--out", str(out)])
+    assert rc == 0
+    assert capfd.readouterr().out == ""
+    assert json.loads(out.read_text())["status"] == "optimal"

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from droopkit.core import DroopAssignment
+from droopkit import droop_opt
+from droopkit.core import DroopAssignment, ScenarioError
 from droopkit.droop_opt import (
+    _FEAS_TOL,
     DroopProblem,
     DroopSolution,
     StiffnessError,
@@ -17,6 +19,7 @@ from droopkit.droop_opt import (
     build_milp,
     digit_expansion,
     exact_residual,
+    pair_distance,
     solve,
     solve_exact_oracle,
     solve_problem,
@@ -66,6 +69,22 @@ def test_unreachable_stiffness_raises():
     with pytest.raises(StiffnessError):
         DroopProblem(alpha=50.0, x_min=np.full(6, 10.0),
                      p_ref=np.zeros(6), p_max=np.full(6, 0.95))
+
+
+@pytest.mark.parametrize("field", ["alpha", "x_min", "p_ref", "p_max"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+def test_non_finite_inputs_rejected_naming_field(field, bad):
+    kwargs = dict(ANALYTIC)
+    if field == "alpha":
+        kwargs["alpha"] = bad
+    else:
+        kwargs[field] = kwargs[field].copy()
+        kwargs[field][1] = bad
+    with pytest.raises(ScenarioError, match=f"{field}.*must be finite"):
+        DroopProblem(**kwargs)
+    # a given eta skips the digit-place derivation, not the check
+    with pytest.raises(ScenarioError, match=f"{field}.*must be finite"):
+        DroopProblem(**kwargs, eta=3)
 
 
 def test_digit_expansion():
@@ -196,6 +215,87 @@ def test_highs_matches_bnb_analytic():
     s_highs = solve(model, backend="highs")
     assert s_bnb.objective == pytest.approx(s_highs.objective, abs=1e-9)
     assert s_bnb.assignment.x == pytest.approx(s_highs.assignment.x, abs=1e-9)
+
+
+def _reference_oracle(problem: DroopProblem, tie_break: bool = True) -> DroopSolution:
+    """The oracle as it was before its all-equal check: always two LPs, then a
+    snap to alpha/n when the solver lands within noise of it and it is secure."""
+    cvec, a_ub, b_ub, a_eq, b_eq, bounds = _exact_lp(problem)
+    res = linprog(cvec, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    if res.status == 2:
+        return DroopSolution("infeasible", None, None, 0.0, backend="oracle")
+    assert res.status == 0
+    n = problem.n
+    x = res.x[:n]
+    if tie_break:
+        fstar = float(cvec @ res.x)
+        a_ub2 = np.vstack([a_ub, cvec])
+        b_ub2 = np.append(b_ub, fstar + 1e-9 * max(1.0, abs(fstar)))
+        c2 = np.zeros_like(cvec)
+        c2[:n] = 0.5 ** np.arange(n)
+        second = linprog(
+            c2, A_ub=a_ub2, b_ub=b_ub2, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
+        )
+        if second.status == 0 and pair_distance(second.x[:n]) <= pair_distance(x) + 1e-9 * max(
+            1.0, abs(fstar)
+        ):
+            x = second.x[:n]
+    x = np.clip(x, problem.x_min, problem.x_upper)
+    equal = np.full(n, problem.alpha / n)
+    if (
+        pair_distance(x) <= 1e-8 * max(1.0, problem.alpha)
+        and np.all(equal >= problem.x_min - 1e-12)
+        and exact_residual(equal, problem) <= _FEAS_TOL
+    ):
+        x = equal
+    return DroopSolution("optimal", DroopAssignment(x), pair_distance(x),
+                         exact_residual(x, problem), backend="oracle")
+
+
+def _outcome(sol: DroopSolution):
+    x = None if sol.assignment is None else sol.assignment.x.tobytes()
+    return sol.status, x, sol.objective, sol.residual
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.lists(st.one_of(st.just(0.0), st.floats(-0.3, 0.92)), min_size=2, max_size=6),
+    tie_break=st.booleans(),
+    x_min_offset=st.sampled_from([None, 0.0, 5e-13, 1e-9, 1e-3]),
+    p_max=st.sampled_from([0.95, 0.6]),
+)
+def test_oracle_matches_always_lp_reference(p, tie_break, x_min_offset, p_max):
+    # x_min_offset puts the first converter's lower bound at or just above alpha/n
+    n, alpha = len(p), 600.0
+    x_min = np.full(n, 10.0)
+    if x_min_offset is not None:
+        x_min[0] = alpha / n + x_min_offset
+    p_ref = np.array(p)
+    prob = DroopProblem(alpha=alpha, x_min=x_min, p_ref=p_ref,
+                        p_max=np.maximum(np.abs(p_ref), p_max))
+    assert _outcome(solve_exact_oracle(prob, tie_break)) == _outcome(
+        _reference_oracle(prob, tie_break)
+    )
+
+
+def test_oracle_skips_the_lp_exactly_when_equal_gains_are_secure(monkeypatch):
+    class LinprogCalled(Exception):
+        pass
+
+    def no_linprog(*args, **kwargs):
+        raise LinprogCalled
+
+    monkeypatch.setattr(droop_opt, "linprog", no_linprog)
+    secure = DroopProblem(alpha=300.0, x_min=np.full(3, 10.0),
+                          p_ref=np.array([0.1, 0.2, -0.1]), p_max=np.full(3, 0.95))
+    for tie_break in (True, False):
+        sol = solve_exact_oracle(secure, tie_break)
+        assert sol.status == "optimal" and sol.objective == 0.0
+        assert np.all(sol.assignment.x == 100.0)
+        assert sol.residual == exact_residual(sol.assignment.x, secure) == 0.0
+    # ANALYTIC's equal gains overload the 0.9 pu converter when the 0.5 pu one trips
+    with pytest.raises(LinprogCalled):
+        solve_exact_oracle(DroopProblem(**ANALYTIC))
 
 
 def test_zero_loading_equal_split_both_paths():
