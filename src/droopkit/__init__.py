@@ -51,6 +51,7 @@ from .market import (
 from .security import (
     ContingencyReport,
     droop_response,
+    post_fault_excess,
     post_fault_flows,
     post_fault_sharing,
     screen_all_contingencies,

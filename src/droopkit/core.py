@@ -206,6 +206,10 @@ class GridScenario:
         )
         if len(self.converters) < 2:
             raise ScenarioError("a droop-controlled island needs at least 2 converters")
+        ids = self.ids
+        if len(set(ids)) != len(ids):
+            dup = next(i for i in ids if ids.count(i) > 1)
+            raise ScenarioError(f"duplicate converter id {dup!r}")
 
     @property
     def n(self) -> int:
@@ -342,10 +346,6 @@ def validate_scenario(scenario: GridScenario) -> ValidationReport:
         finite(f"wind injection at {node}", p)
     for i, j, b in scenario.network.edges:
         finite(f"edge ({i}, {j}) susceptance", b)
-
-    ids = [c.id for c in scenario.converters]
-    for cid in sorted({i for i in ids if ids.count(i) > 1}):
-        report.errors.append(f"duplicate id {cid!r}")
 
     known = set(scenario.network.nodes)
     for c in scenario.converters:

@@ -33,7 +33,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog
 from scipy.optimize import milp as _highs_milp
 
 from .core import DroopAssignment, GridScenario, ScenarioError, _readonly
-from .security import VIOLATION_TOL, post_fault_sharing
+from .security import VIOLATION_TOL, post_fault_excess
 
 DEFAULT_ALPHA = 600.0
 DEFAULT_PSI = -3
@@ -82,6 +82,9 @@ class DroopProblem:
             object.__setattr__(self, "eta", max(0, math.ceil(math.log10(self.alpha))))
         if not self.psi <= 0 <= self.eta:
             raise ScenarioError("digit places must satisfy psi <= 0 <= eta")
+        # 10.0**psi is 0.0 from psi = -324 on; alpha must stay a finite count of quanta
+        if self.psi < -323 or not math.isfinite(self.alpha / 10.0**self.psi):
+            raise ScenarioError(f"psi={self.psi} is too fine a digit grid for alpha={self.alpha:g}")
 
     @property
     def n(self) -> int:
@@ -115,9 +118,8 @@ def pair_distance(x: np.ndarray) -> float:
 
 def exact_residual(x: np.ndarray, problem: DroopProblem) -> float:
     """Worst violation (pu) of the exact post-fault limits at assignment x."""
-    _, flows = post_fault_sharing(np.asarray(x, dtype=float), problem.p_ref, problem.alpha)
-    excess = np.abs(flows) - problem.p_max
-    np.fill_diagonal(excess, 0.0)  # the tripped converter itself carries nothing
+    excess = post_fault_excess(np.asarray(x, dtype=float), problem.p_ref, problem.p_max,
+                               problem.alpha)
     return max(float(excess.max()), 0.0)  # in this order a NaN excess stays NaN
 
 

@@ -11,14 +11,15 @@ again until the screen passes.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import DroopAssignment, GridScenario, ScenarioError, _readonly
-from .droop_opt import build_exact_problem, solve_problem
-from .security import screen_all_contingencies
+from .droop_opt import DroopProblem, solve_problem
+from .security import VIOLATION_TOL, post_fault_excess
+from .security import screen_all_contingencies  # noqa: F401  (patched by the benchmark tracer)
 
 DEFAULT_STEP_MW = 50.0
 
@@ -113,12 +114,9 @@ class PlanningRun:
         return float(sum(r.curtailed_mwh for r in self.records))
 
 
-def _scenario_with_flows(template: GridScenario, p_ref_pu: np.ndarray) -> GridScenario:
-    converters = tuple(
-        dataclasses.replace(conv, p_ref=float(p))
-        for conv, p in zip(template.converters, p_ref_pu)
-    )
-    return dataclasses.replace(template, converters=converters)
+def _check_step_mw(step_mw: float) -> None:
+    if not 0 < step_mw < math.inf:
+        raise ScenarioError(f"step_mw={step_mw:g} must be finite and positive")
 
 
 def plan_hour(
@@ -135,45 +133,45 @@ def plan_hour(
     Policy "equal" keeps the gains fixed at alpha/n and only screens; policy
     "adaptive" re-optimizes the gains for the cleared flows.  Capacity is
     withdrawn in ``step_mw`` blocks on the converters whose limits would be
-    violated; zero capacity clears to zero flows, so termination is certain.
+    violated; zero capacity clears to zero flows, so the loop ends, unless the
+    backend finds no gains even then, which raises ScenarioError.
     """
-    if step_mw <= 0:
-        raise ScenarioError("step_mw must be positive")
+    _check_step_mw(step_mw)
     if tuple(hour.link_ids) != template.ids:
         raise ScenarioError("hour links do not match scenario converters")
     if policy not in ("equal", "adaptive"):
         raise ScenarioError(f"unknown policy {policy!r}")
-    n = template.n
-    cap_limit = template.ratings_mva * template.p_max
-    if np.any(hour.offered_mw > cap_limit + 1e-9):
+    s_base, x_min, p_max = template.base.s_base_mva, template.x_min, template.p_max
+    if np.any(hour.offered_mw > template.ratings_mva * p_max + 1e-9):
         raise ScenarioError(
             f"hour {hour.hour}: offered capacity exceeds a converter's usable rating"
         )
-    equal = DroopAssignment.equal(alpha, n)
-    if np.any(equal.x < template.x_min - 1e-12):
+    equal = DroopAssignment.equal(alpha, template.n)
+    if np.any(equal.x < x_min - 1e-12):
         raise ScenarioError("equal policy violates the gain lower bounds")
 
     caps = np.array(hour.offered_mw, dtype=float)
-    s_base = template.base.s_base_mva
     iterations = 0
     while True:
         flows = clear_market(hour, caps)
-        scen = _scenario_with_flows(template, flows / s_base)
+        p_ref = flows / s_base
         status = "equal"
         assignment: DroopAssignment | None = equal
         if policy == "adaptive":
-            sol = solve_problem(build_exact_problem(scen, alpha, psi), backend=backend)
+            sol = solve_problem(DroopProblem(float(alpha), x_min, p_ref, p_max, psi),
+                                backend=backend)
             status = sol.status
             assignment = sol.assignment if sol.status == "optimal" else None
 
         # an infeasible optimization falls back to the equal screen to find
         # the converters that force the capacity reduction
-        reports = screen_all_contingencies(equal if assignment is None else assignment, scen)
-        violated = sorted({cid for rep in reports for cid, _ in rep.violations})
-        if assignment is None and not violated:
-            violated = [template.ids[int(np.argmax(np.abs(flows)))]]
+        x = (equal if assignment is None else assignment).x
+        excess = post_fault_excess(x, p_ref, p_max, float(x.sum()))
+        violated = np.flatnonzero(np.any(excess > VIOLATION_TOL, axis=0))
+        if assignment is None and not violated.size:
+            violated = np.argmax(np.abs(flows), keepdims=True)
 
-        if not violated:
+        if not violated.size:
             return HourRecord(
                 hour=hour.hour,
                 link_ids=template.ids,
@@ -184,21 +182,17 @@ def plan_hour(
                 iterations=iterations,
                 curtailed_mwh=float(hour.wind_mw - flows.sum()),
                 droop_status=status,
-                x=np.asarray(assignment.x).copy(),
+                x=x.copy(),
             )
 
         iterations += 1
-        reduced_any = False
-        for cid in violated:
-            j = template.converter_index(cid)
-            if caps[j] > 0:
-                caps[j] = max(0.0, caps[j] - step_mw)
-                reduced_any = True
-        if not reduced_any:
+        if not np.any(caps[violated] > 0):
             # violated links already at zero: shrink every loaded link
-            for j in range(n):
-                if caps[j] > 0:
-                    caps[j] = max(0.0, caps[j] - step_mw)
+            violated = np.flatnonzero(caps > 0)
+            if not violated.size:  # no gains even at zero flows: nothing left to withdraw
+                raise ScenarioError(f"hour {hour.hour}: the {backend} backend finds no gains "
+                                    f"even at zero flows: {sol.note or sol.status}")
+        caps[violated] = np.maximum(0.0, caps[violated] - step_mw)
 
 
 def plan(
@@ -211,6 +205,7 @@ def plan(
     psi: int = -3,
 ) -> PlanningRun:
     """Plan every hour independently; records are ordered by hour index."""
+    _check_step_mw(step_mw)
     run = PlanningRun(policy=policy, alpha=alpha, step_mw=step_mw, link_ids=template.ids)
     for hour in sorted(hours, key=lambda h: h.hour):
         run.records.append(

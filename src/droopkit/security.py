@@ -23,7 +23,6 @@ class ContingencyReport:
     """Steady-state outcome of a single converter outage."""
 
     outage_id: str
-    ssfd_pu: float
     ssfd_hz: float
     survivor_ids: tuple[str, ...]
     p_pre: np.ndarray
@@ -56,6 +55,17 @@ def post_fault_sharing(
     return delta, p_ref + x * delta[:, None]
 
 
+def post_fault_excess(
+    x: np.ndarray, p_ref: np.ndarray, p_max: np.ndarray, alpha: float
+) -> np.ndarray:
+    """``excess[k, i] = |flows[k, i]| - p_max[i]`` (pu) after losing converter k;
+    the diagonal is 0.0, as the tripped converter itself carries nothing."""
+    _, flows = post_fault_sharing(x, p_ref, alpha)
+    excess = np.abs(flows) - p_max
+    np.fill_diagonal(excess, 0.0)
+    return excess
+
+
 def _sharing(assignment: DroopAssignment, scenario: GridScenario, p_ref: np.ndarray):
     """``post_fault_sharing`` of an assignment at ``p_ref``, the scenario's set-points."""
     if assignment.n != scenario.n:
@@ -81,22 +91,18 @@ def post_fault_flows(
 
 
 def screen_all_contingencies(
-    assignment: DroopAssignment,
-    scenario: GridScenario,
-    ssfd_limit_pu: float | None = None,
+    assignment: DroopAssignment, scenario: GridScenario
 ) -> list[ContingencyReport]:
     """One report per converter outage.
 
-    A scenario is N-1 secure for the assignment iff every report is secure.
-    Security is decided on the active-power limits; an SSFD bound is only
-    applied when explicitly requested.
+    A scenario is N-1 secure for the assignment iff every report is secure;
+    security is decided on the active-power limits.
     """
     p_ref, p_max, ids = scenario.p_ref, scenario.p_max, scenario.ids
     deltas, flows = _sharing(assignment, scenario, p_ref)
-    excesses = np.abs(flows) - p_max
+    excesses = post_fault_excess(assignment.x, p_ref, p_max, assignment.alpha)
     reports = []
     for k, outage_id in enumerate(ids):
-        delta = float(deltas[k])
         mask = np.arange(scenario.n) != k
         survivors = ids[:k] + ids[k + 1 :]
         violations = [
@@ -104,13 +110,10 @@ def screen_all_contingencies(
             for cid, excess in zip(survivors, excesses[k, mask])
             if excess > VIOLATION_TOL
         ]
-        if ssfd_limit_pu is not None and abs(delta) > ssfd_limit_pu:
-            violations.append((outage_id, abs(delta) - ssfd_limit_pu))
         reports.append(
             ContingencyReport(
                 outage_id=outage_id,
-                ssfd_pu=delta,
-                ssfd_hz=deviation_hz(delta, scenario.base),
+                ssfd_hz=deviation_hz(float(deltas[k]), scenario.base),
                 survivor_ids=survivors,
                 p_pre=p_ref[mask],
                 p_post=flows[k, mask],
@@ -121,12 +124,8 @@ def screen_all_contingencies(
     return reports
 
 
-def is_secure(
-    assignment: DroopAssignment,
-    scenario: GridScenario,
-    ssfd_limit_pu: float | None = None,
-) -> bool:
-    return all(r.secure for r in screen_all_contingencies(assignment, scenario, ssfd_limit_pu))
+def is_secure(assignment: DroopAssignment, scenario: GridScenario) -> bool:
+    return all(r.secure for r in screen_all_contingencies(assignment, scenario))
 
 
 def reports_to_csv(reports: list[ContingencyReport], scenario: GridScenario) -> str:

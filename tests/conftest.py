@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,12 @@ def random_scenario(rng: np.random.Generator, n: int | None = None) -> GridScena
     )
     wind = ((f"wf0", float(max(p.sum(), 0.0))),)
     return GridScenario.with_star_network(base, conv, wind)
+
+
+def scenario_with_flows(template: GridScenario, p_ref_pu) -> GridScenario:
+    """``template`` with every converter set-point replaced by ``p_ref_pu``."""
+    converters = tuple(
+        dataclasses.replace(conv, p_ref=float(p))
+        for conv, p in zip(template.converters, p_ref_pu)
+    )
+    return dataclasses.replace(template, converters=converters)

@@ -35,6 +35,7 @@ from droopkit.dynamics import (
 )
 from droopkit.market import plan, plan_hour
 from droopkit.security import post_fault_flows, screen_all_contingencies, ssfd
+from tests.conftest import scenario_with_flows
 
 S_BASE = 1850.0
 UK_PU = 1740.0 / S_BASE
@@ -303,11 +304,9 @@ def test_c7_capacity_loop_and_year_properties():
     assert t_ad < 300.0 and t_eq < 300.0
 
     # independent re-screen of every final hour state, both policies
-    import droopkit.market as mkt
-
     for run in (run_ad, run_eq):
         for rec in run.records:
-            final = mkt._scenario_with_flows(island, rec.flow_mw / S_BASE)
+            final = scenario_with_flows(island, rec.flow_mw / S_BASE)
             reports = screen_all_contingencies(DroopAssignment(rec.x), final)
             assert all(r.secure for r in reports), rec.hour
     for ra, re in zip(run_ad.records, run_eq.records):

@@ -368,3 +368,66 @@ def test_solve_droops_highs_leaves_stdout_empty(grid_file, tmp_path, capfd):
     assert rc == 0
     assert capfd.readouterr().out == ""
     assert json.loads(out.read_text())["status"] == "optimal"
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_market_loop_non_finite_step_exits_one(grid_file, hours_file, tmp_path, capsys, step):
+    out = tmp_path / "out"
+    rc = main(["market-loop", "--grid", str(grid_file), "--hours", str(hours_file),
+               "--policy", "equal", f"--step-mw={step}", "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, f"step_mw={step} must be finite and positive")
+    assert not out.exists()
+
+
+def test_market_loop_non_finite_step_exits_one_without_hours(grid_file, hours_file, tmp_path,
+                                                             capsys):
+    hours_file.write_text(hours_file.read_text().splitlines()[0] + "\n")
+    out = tmp_path / "out"
+    rc = main(["market-loop", "--grid", str(grid_file), "--hours", str(hours_file),
+               "--policy", "equal", "--step-mw=nan", "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, "step_mw=nan must be finite and positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("precision", ["-400", "-320"])
+@pytest.mark.parametrize("command", ["solve-droops", "market-loop"])
+def test_digit_grid_too_fine_exits_one_naming_psi(grid_file, hours_file, tmp_path, capsys,
+                                                  command, precision):
+    out = tmp_path / "out"
+    args = [command, "--grid", str(grid_file), "--backend", "bnb",
+            f"--precision={precision}", "--out", str(out)]
+    if command == "market-loop":
+        args += ["--hours", str(hours_file)]
+    rc = main(args)
+    _assert_one_line_usage_error(rc, capsys, f"psi={precision} is too fine a digit grid")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check-n1", "market-loop"])
+@pytest.mark.parametrize("network", [True, False])
+def test_duplicate_converter_id_exits_one(tmp_path, island, hours_file, capsys, command,
+                                          network):
+    doc = grid_to_json(island)
+    doc["converters"][5]["id"] = "UK"
+    if not network:
+        del doc["network"]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    args = [command, "--grid", str(grid), "--out", str(out)]
+    if command == "market-loop":
+        args += ["--hours", str(hours_file)]
+    rc = main(args)
+    _assert_one_line_usage_error(rc, capsys, "duplicate converter id 'UK'")
+    assert not out.exists()
+
+
+def test_market_loop_backend_without_gains_at_zero_flow_exits_one(grid_file, hours_file,
+                                                                  tmp_path, capsys):
+    # alpha = 600.5 is off the 10^0 grid, so B&B finds no gains at any flow
+    out = tmp_path / "out"
+    rc = main(["market-loop", "--grid", str(grid_file), "--hours", str(hours_file),
+               "--backend", "bnb", "--alpha", "600.5", "--precision", "0", "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, "hour 0: the bnb backend finds no gains even at "
+                                 "zero flows", "not representable on the 10^0 grid")
+    assert not out.exists()

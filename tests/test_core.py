@@ -101,11 +101,10 @@ def test_validate_clean_island(island):
 
 
 def test_validate_duplicate_id(island):
-    dup = dataclasses.replace(
-        island, converters=island.converters[:-1] + (island.converters[0],)
-    )
-    report = validate_scenario(dup)
-    assert any("duplicate id 'UK'" in e for e in report.errors)
+    with pytest.raises(ScenarioError, match="duplicate converter id 'UK'"):
+        dataclasses.replace(
+            island, converters=island.converters[:-1] + (island.converters[0],)
+        )
 
 
 def test_validate_setpoint_beyond_limit(island):

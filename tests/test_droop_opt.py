@@ -87,6 +87,17 @@ def test_non_finite_inputs_rejected_naming_field(field, bad):
         DroopProblem(**kwargs, eta=3)
 
 
+@pytest.mark.parametrize("psi", [-400, -324, -320, -306, pytest.param(-10**400, id="-10**400")])
+def test_digit_grid_without_finite_quanta_rejected_naming_psi(psi):
+    with pytest.raises(ScenarioError, match=f"psi={psi} is too fine a digit grid"):
+        DroopProblem(**ANALYTIC, psi=psi)
+
+
+def test_finest_digit_grid_with_finite_quanta_accepted():
+    # 600 / 10.0**-305 is about 6e307, below the largest float
+    assert DroopProblem(**{**ANALYTIC, "alpha": 600.0}, psi=-305).psi == -305
+
+
 def test_digit_expansion():
     assert digit_expansion(142.105, -3, 2) == [5, 0, 1, 2, 4, 1]
     assert digit_expansion(0.0, -3, 2) == [0] * 6

@@ -1,17 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from droopkit import fixtures, market
 from droopkit.core import DroopAssignment, ScenarioError
+from droopkit.droop_opt import DroopSolution, build_exact_problem
 from droopkit.market import (
     BidSegment,
+    HourRecord,
     HourScenario,
     clear_market,
     duration_curves,
     plan,
     plan_hour,
 )
-from droopkit.security import is_secure
+from droopkit.security import is_secure, screen_all_contingencies
+from tests.conftest import scenario_with_flows
 
 
 def make_hour(offered, wind, hour=0, prices=None):
@@ -138,12 +144,8 @@ def test_planning_records_are_secure_and_conserve_wind(island):
         for hour, rec in zip(hours, run.records):
             assert rec.flow_mw.sum() + rec.curtailed_mwh == pytest.approx(hour.wind_mw)
             assert np.all(rec.capacity_mw <= rec.offered_mw + 1e-12)
-            scen = island
-            asn = DroopAssignment(rec.x)
-            import droopkit.market as mkt
-
-            final_scen = mkt._scenario_with_flows(scen, rec.flow_mw / scen.base.s_base_mva)
-            assert is_secure(asn, final_scen)
+            final_scen = scenario_with_flows(island, rec.flow_mw / island.base.s_base_mva)
+            assert is_secure(DroopAssignment(rec.x), final_scen)
 
 
 def test_adaptive_dominates_equal_per_hour_and_per_link(island):
@@ -174,7 +176,7 @@ def test_policy_validation(island):
 def test_adaptive_hour_through_milp_backend(island):
     hour = hour3_hour()
     rec = plan_hour(island, hour, policy="adaptive", backend="bnb")
-    scen = market._scenario_with_flows(island, rec.flow_mw / island.base.s_base_mva)
+    scen = scenario_with_flows(island, rec.flow_mw / island.base.s_base_mva)
     assert is_secure(DroopAssignment(rec.x), scen) and rec.iterations == 0
     assert rec.droop_status == "optimal"
     # gains land on the digit grid
@@ -219,3 +221,159 @@ def test_duration_curves_sorted_descending(island):
     for cid in curves.link_ids:
         assert np.all(np.diff(curves.capacity_sorted[cid]) <= 1e-12)
     assert curves.total_curtailed_mwh == pytest.approx(run.total_curtailed_mwh)
+
+
+# ---------------------------------------------------------------------------
+# planning on set-point arrays against the scenario-rebuilding loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_plan_hour(template, hour, policy="adaptive", step_mw=50.0, alpha=600.0,
+                         backend="oracle", psi=-3):
+    """The reduction loop written on rebuilt scenarios and contingency reports.
+
+    Each step rebuilds a scenario at the cleared flows, screens it with
+    ``screen_all_contingencies`` and maps the violated ids back to indices.
+    The solver is looked up on ``market`` at call time, as ``plan_hour`` does.
+    """
+    equal = DroopAssignment.equal(alpha, template.n)
+    caps = np.array(hour.offered_mw, dtype=float)
+    s_base = template.base.s_base_mva
+    iterations = 0
+    while True:
+        flows = clear_market(hour, caps)
+        scen = scenario_with_flows(template, flows / s_base)
+        status = "equal"
+        assignment = equal
+        if policy == "adaptive":
+            sol = market.solve_problem(build_exact_problem(scen, alpha, psi), backend=backend)
+            status = sol.status
+            assignment = sol.assignment if sol.status == "optimal" else None
+        reports = screen_all_contingencies(equal if assignment is None else assignment, scen)
+        violated = sorted({cid for rep in reports for cid, _ in rep.violations})
+        if assignment is None and not violated:
+            violated = [template.ids[int(np.argmax(np.abs(flows)))]]
+        if not violated:
+            return HourRecord(
+                hour=hour.hour, link_ids=template.ids, offered_mw=np.array(hour.offered_mw),
+                capacity_mw=caps, flow_mw=flows, reduced_mw=np.array(hour.offered_mw) - caps,
+                iterations=iterations, curtailed_mwh=float(hour.wind_mw - flows.sum()),
+                droop_status=status, x=np.asarray(assignment.x).copy(),
+            )
+        iterations += 1
+        reduced_any = False
+        for cid in violated:
+            j = template.converter_index(cid)
+            if caps[j] > 0:
+                caps[j] = max(0.0, caps[j] - step_mw)
+                reduced_any = True
+        if not reduced_any:
+            for j in range(template.n):
+                if caps[j] > 0:
+                    caps[j] = max(0.0, caps[j] - step_mw)
+
+
+def _record_bytes(rec):
+    return (
+        rec.hour, rec.link_ids, rec.iterations, rec.droop_status,
+        repr(rec.curtailed_mwh),
+        *(np.asarray(a).tobytes() for a in (rec.offered_mw, rec.capacity_mw, rec.flow_mw,
+                                            rec.reduced_mw, rec.x)),
+    )
+
+
+_usable_mw = fixtures.RATING_MVA * 0.95
+
+
+@st.composite
+def market_hours(draw, heavy=False):
+    """Hours on the island's links: zero, partial and full offers, zero or high
+    wind; ``heavy`` hours offer at least 950 MW per link against at least 6 GW."""
+    offers = [950.0, 1700.0, _usable_mw] if heavy else [0.0, 50.0, 400.0, 950.0, 1700.0]
+    offered = np.array(draw(st.lists(
+        st.sampled_from(offers) | st.floats(offers[0], _usable_mw),
+        min_size=6, max_size=6,
+    )))
+    wind = draw(st.sampled_from([0.0, 9000.0]) | st.floats(6000.0 if heavy else 0.0, 11_000.0))
+    h = draw(st.integers(0, 23))
+    fixture = draw(st.sampled_from(["diurnal", "flat"]))
+    return HourScenario(hour=h, wind_mw=wind, link_ids=fixtures.COUNTRIES, offered_mw=offered,
+                        bids=fixtures.bid_curves(fixture, h, fixtures.COUNTRIES, offered),
+                        bid_fixture=fixture)
+
+
+@given(market_hours() | market_hours(heavy=True), st.sampled_from(["equal", "adaptive"]),
+       st.sampled_from([50.0, 137.5]))
+@settings(max_examples=120, deadline=None)
+def test_plan_hour_matches_scenario_rebuilding_reference(hour, policy, step):
+    island = fixtures.island_scenario()
+    got = plan_hour(island, hour, policy=policy, step_mw=step)
+    want = _reference_plan_hour(island, hour, policy=policy, step_mw=step)
+    assert _record_bytes(got) == _record_bytes(want)
+
+
+# year hours whose B&B gains are unequal; 78 and 173 need 6 and 7 reductions.
+# Not drawn at random: one B&B solve on some random heavy hours runs past 30 s.
+@pytest.mark.parametrize("h", [1, 24, 78, 173])
+def test_plan_hour_matches_reference_through_bnb(h):
+    island = fixtures.island_scenario()
+    hour = fixtures.year_hours(n_hours=h + 1, seed=20300)[h]
+    got = plan_hour(island, hour, backend="bnb")
+    want = _reference_plan_hour(island, hour, backend="bnb")
+    assert _record_bytes(got) == _record_bytes(want)
+
+
+def _no_gains_above(limit_pu, seen):
+    """``solve_problem`` that finds no gains while the cleared export exceeds ``limit_pu``."""
+    real = market.solve_problem
+
+    def solve(problem, backend="oracle"):
+        if float(problem.p_ref.sum()) <= limit_pu:
+            return real(problem, backend=backend)
+        equal = DroopAssignment.equal(problem.alpha, problem.n)
+        seen.append(is_secure(equal, scenario_with_flows(fixtures.island_scenario(),
+                                                         problem.p_ref)))
+        return DroopSolution("infeasible", None, None, 0.0, note="stub")
+
+    return solve
+
+
+@given(market_hours() | market_hours(heavy=True), st.floats(0.0, 4.0))
+@settings(max_examples=60, deadline=None)
+def test_plan_hour_matches_reference_through_the_fallbacks(hour, limit_pu):
+    island = fixtures.island_scenario()
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(market, "solve_problem", _no_gains_above(limit_pu, seen))
+        got = plan_hour(island, hour)
+        want = _reference_plan_hour(island, hour)
+    assert _record_bytes(got) == _record_bytes(want)
+
+
+def test_fallbacks_take_both_the_equal_screen_and_the_largest_flow(island, monkeypatch):
+    # a full hour: the equal gains fail first, then hold while the stub still
+    # finds no gains, so both the equal screen and the largest-flow withdrawal run
+    hour = fixtures.year_hours(n_hours=2, seed=7)[1]
+    seen = []
+    monkeypatch.setattr(market, "solve_problem", _no_gains_above(2.0, seen))
+    got = plan_hour(island, hour)
+    assert False in seen and True in seen
+    assert got.droop_status == "optimal" and got.flow_mw.sum() / 1850.0 <= 2.0
+    assert _record_bytes(got) == _record_bytes(_reference_plan_hour(island, hour))
+
+
+def test_plan_hour_raises_when_the_backend_finds_no_gains_at_zero_flow(island):
+    # alpha = 600.5 is off the 10^0 digit grid: B&B is infeasible at every flow
+    hour = fixtures.year_hours(n_hours=1, seed=7)[0]
+    with pytest.raises(ScenarioError, match="hour 0: the bnb backend finds no gains even at "
+                                            "zero flows: alpha=600.5 is not representable"):
+        plan_hour(island, hour, backend="bnb", alpha=600.5, psi=0)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -50.0])
+def test_step_mw_must_be_finite_and_positive(island, step):
+    hour = hour3_hour()
+    with pytest.raises(ScenarioError, match=f"step_mw={step:g} must be finite and positive"):
+        plan_hour(island, hour, policy="equal", step_mw=step)
+    with pytest.raises(ScenarioError, match=f"step_mw={step:g} must be finite and positive"):
+        plan(island, [], policy="equal", step_mw=step)

@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from droopkit.core import Converter, DroopAssignment, GridScenario, ScenarioError, SystemBase
 from droopkit.security import (
+    VIOLATION_TOL,
     droop_response,
+    post_fault_excess,
     post_fault_flows,
     post_fault_sharing,
     reports_to_csv,
@@ -179,6 +181,34 @@ def test_post_fault_sharing_matches_per_outage_screen_bit_for_bit(data):
     for k in range(x.size):
         assert np.array(ref_delta[k]).tobytes() == delta[k].tobytes()
         assert ref_flows[k].tobytes() == flows[k, np.arange(x.size) != k].tobytes()
+
+
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.floats(1.0, 300.0), min_size=n, max_size=n),
+            st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, 0.5, 0.95]),
+                     min_size=n, max_size=n),
+            st.lists(st.sampled_from([0.5, 0.95, 1.0]), min_size=n, max_size=n),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_post_fault_excess_flags_exactly_the_screened_violations(data):
+    x, p_ref, p_max = (np.array(v, dtype=float) for v in data)
+    conv = tuple(Converter(f"c{i}", 100.0, float(p), p_max=float(m))
+                 for i, (p, m) in enumerate(zip(p_ref, p_max)))
+    scen = GridScenario.with_star_network(SystemBase(100.0), conv)
+    asn = DroopAssignment(x)
+    excess = post_fault_excess(x, p_ref, p_max, asn.alpha)
+    assert np.all(np.diag(excess) == 0.0)
+    reports = screen_all_contingencies(asn, scen)
+    screened = {(rep.outage_id, cid, v) for rep in reports for cid, v in rep.violations}
+    flagged = {(scen.ids[k], scen.ids[i], float(excess[k, i]))
+               for k, i in zip(*np.nonzero(excess > VIOLATION_TOL))}
+    assert flagged == screened
+    columns = np.flatnonzero(np.any(excess > VIOLATION_TOL, axis=0))
+    assert {scen.ids[i] for i in columns} == {cid for _, cid, _ in screened}
 
 
 @given(st.integers(0, 2_000), st.floats(0.1, 5.0))
