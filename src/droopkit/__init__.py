@@ -20,6 +20,7 @@ from .droop_opt import (
     DroopProblem,
     DroopSolution,
     MilpModel,
+    SolverError,
     StiffnessError,
     build_exact_problem,
     build_milp,

@@ -44,7 +44,13 @@ from .core import (
     SystemBase,
     validate_scenario,
 )
-from .droop_opt import DroopSolution, StiffnessError, build_exact_problem, solve_problem
+from .droop_opt import (
+    DroopSolution,
+    SolverError,
+    StiffnessError,
+    build_exact_problem,
+    solve_problem,
+)
 from .dynamics import (
     ConverterOutage,
     SimulationDiverged,
@@ -484,6 +490,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ScenarioError, UnstableModelError, SimulationDiverged) as exc:
         print(f"droopkit: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SolverError as exc:
+        print(f"droopkit: solver failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"droopkit: bad input: {exc!r}", file=sys.stderr)

@@ -271,7 +271,7 @@ class GridScenario:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DroopAssignment:
     """A vector of inverse droop gains, one per converter.
 

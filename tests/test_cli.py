@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from droopkit import fixtures
+from droopkit import droop_opt, fixtures
 from droopkit.cli import (
     grid_from_json,
     grid_to_json,
@@ -430,4 +431,31 @@ def test_market_loop_backend_without_gains_at_zero_flow_exits_one(grid_file, hou
                "--backend", "bnb", "--alpha", "600.5", "--precision", "0", "--out", str(out)])
     _assert_one_line_usage_error(rc, capsys, "hour 0: the bnb backend finds no gains even at "
                                  "zero flows", "not representable on the 10^0 grid")
+    assert not out.exists()
+
+
+def _failing_highs_lp(*args, what):
+    raise droop_opt.SolverError(f"{what} failed with HiGHS model status kIterationLimit")
+
+
+@pytest.mark.parametrize(
+    "backend, patch, reason",
+    [
+        ("oracle", ("_highs_lp", _failing_highs_lp),
+         "oracle LP failed with HiGHS model status kIterationLimit"),
+        ("bnb", ("_solve_bnb", functools.partial(droop_opt._solve_bnb, node_limit=1)),
+         "branch and bound exceeded 1 nodes"),
+    ],
+)
+@pytest.mark.parametrize("command", ["solve-droops", "market-loop"])
+def test_solver_failure_exits_one_without_traceback(grid_file, hours_file, tmp_path, capsys,
+                                                    monkeypatch, command, backend, patch,
+                                                    reason):
+    monkeypatch.setattr(droop_opt, *patch)
+    out = tmp_path / "out"
+    args = [command, "--grid", str(grid_file), "--backend", backend, "--out", str(out)]
+    if command == "market-loop":
+        args += ["--hours", str(hours_file), "--policy", "adaptive"]
+    rc = main(args)
+    _assert_one_line_usage_error(rc, capsys, f"droopkit: solver failed: {reason}")
     assert not out.exists()

@@ -296,7 +296,7 @@ def test_oracle_skips_the_lp_exactly_when_equal_gains_are_secure(monkeypatch):
     def no_linprog(*args, **kwargs):
         raise LinprogCalled
 
-    monkeypatch.setattr(droop_opt, "linprog", no_linprog)
+    monkeypatch.setattr(droop_opt, "_highs_lp", no_linprog)
     secure = DroopProblem(alpha=300.0, x_min=np.full(3, 10.0),
                           p_ref=np.array([0.1, 0.2, -0.1]), p_max=np.full(3, 0.95))
     for tie_break in (True, False):
@@ -307,6 +307,107 @@ def test_oracle_skips_the_lp_exactly_when_equal_gains_are_secure(monkeypatch):
     # ANALYTIC's equal gains overload the 0.9 pu converter when the 0.5 pu one trips
     with pytest.raises(LinprogCalled):
         solve_exact_oracle(DroopProblem(**ANALYTIC))
+
+
+# ---------------------------------------------------------------------------
+# the direct HiGHS helper against linprog
+# ---------------------------------------------------------------------------
+
+
+def _linprog_outcome(c, a_ub, b_ub, a_eq, b_eq, bounds):
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    if res.status == 0:
+        return "optimal", res.x.tobytes(), res.fun
+    return ("infeasible" if res.status == 2 else "failed"), None, None
+
+
+def _helper_outcome(c, a_ub, b_ub, a_eq, b_eq, bounds):
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([np.inf if b[1] is None else b[1] for b in bounds])
+    try:
+        res = droop_opt._highs_lp(c, *droop_opt._highs_rows(a_ub, b_ub, a_eq, b_eq), lo, hi,
+                                  what="test LP")
+    except droop_opt.SolverError:
+        return "failed", None, None
+    if res is None:
+        return "infeasible", None, None
+    return "optimal", res[0].tobytes(), res[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.lists(st.one_of(st.just(0.0), st.floats(-0.3, 0.92)), min_size=2, max_size=6),
+    tight=st.lists(st.booleans(), min_size=6, max_size=6),
+    pinned=st.booleans(),
+    box=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=6, max_size=6),
+    psi=st.integers(-3, -1),
+)
+def test_highs_lp_matches_linprog(p, tight, pinned, box, psi):
+    """The helper gives linprog's status, x bytes and objective on every oracle and B&B LP.
+
+    ``_highs_lp`` drives scipy's private HiGHS binding, so a scipy upgrade that
+    changes that binding or the model linprog builds fails here.
+    """
+    n, alpha = len(p), 600.0
+    p_ref = np.array(p)
+    # p_max = |p_ref| leaves no headroom; gains pinned near alpha/n are often infeasible
+    p_max = np.where(np.array(tight[:n]) & (p_ref != 0.0), np.abs(p_ref), 0.95)
+    x_min = np.full(n, 0.999 * alpha / n if pinned else 10.0)
+    prob = DroopProblem(alpha=alpha, x_min=x_min, p_ref=p_ref, p_max=p_max, psi=psi)
+    cvec, a_ub, b_ub, a_eq, b_eq, bounds = _exact_lp(prob)
+    main = _linprog_outcome(cvec, a_ub, b_ub, a_eq, b_eq, bounds)
+    assert _helper_outcome(cvec, a_ub, b_ub, a_eq, b_eq, bounds) == main
+
+    if main[0] == "optimal":  # the oracle's tie-break LP: the face row after a_ub
+        face = (np.vstack([a_ub, cvec]), np.append(b_ub, main[2] + 1e-9 * max(1.0, main[2])))
+        c2 = np.zeros_like(cvec)
+        c2[:n] = 0.5 ** np.arange(n)
+        assert (_helper_outcome(c2, *face, a_eq, b_eq, bounds)
+                == _linprog_outcome(c2, *face, a_eq, b_eq, bounds))
+
+    # a B&B node: each gain in a grid-aligned box, empty when its ends cross
+    q = 10.0**psi
+    lo_u = np.ceil((prob.x_min - 1e-9) / q)
+    span = np.floor((prob.x_upper + 1e-9) / q) - lo_u + 1
+    u = np.array(box[:n])
+    lo, hi = (lo_u + np.floor(u[:, 0] * span)) * q, (lo_u + np.floor(u[:, 1] * span)) * q
+    node = [(float(lo[i]), float(hi[i])) for i in range(n)] + bounds[n:]
+    assert (_helper_outcome(cvec, a_ub, b_ub, a_eq, b_eq, node)
+            == _linprog_outcome(cvec, a_ub, b_ub, a_eq, b_eq, node))
+
+
+def test_oracle_and_bnb_solves_leave_stdout_and_stderr_empty(capfd):
+    prob = DroopProblem(**ANALYTIC)  # its equal gains are insecure, so both solve LPs
+    assert solve_exact_oracle(prob).status == "optimal"
+    assert solve_problem(prob, backend="bnb").status == "optimal"
+    assert capfd.readouterr() == ("", "")
+
+
+def _highs_options(**fields):
+    """The helper's HiGHS options with ``fields`` changed."""
+    highs = droop_opt._highs._Highs()
+    highs.passOptions(droop_opt._HIGHS_OPTIONS)
+    options = highs.getOptions()
+    for name, value in fields.items():
+        setattr(options, name, value)
+    return options
+
+
+@pytest.mark.parametrize("backend, what", [("oracle", "oracle LP"), ("bnb", "B&B node LP")])
+def test_lp_stopped_short_raises_solver_error_naming_status(monkeypatch, backend, what):
+    prob = DroopProblem(**ANALYTIC)
+    if backend == "bnb":  # seed the incumbent before the limit, so a node LP is stopped
+        seed = solve_exact_oracle(prob, tie_break=False)
+        monkeypatch.setattr(droop_opt, "solve_exact_oracle", lambda *args, **kwargs: seed)
+    monkeypatch.setattr(droop_opt, "_HIGHS_OPTIONS", _highs_options(simplex_iteration_limit=0))
+    with pytest.raises(droop_opt.SolverError,
+                       match=f"{what} failed with HiGHS model status kIterationLimit"):
+        solve_problem(prob, backend=backend)
+
+
+def test_bnb_node_limit_raises_solver_error():
+    with pytest.raises(droop_opt.SolverError, match="branch and bound exceeded 1 nodes"):
+        solve_problem(DroopProblem(**ANALYTIC), backend="bnb", node_limit=1)
 
 
 def test_zero_loading_equal_split_both_paths():
