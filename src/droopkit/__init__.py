@@ -24,7 +24,6 @@ from .droop_opt import (
     StiffnessError,
     build_exact_problem,
     build_milp,
-    solve,
     solve_exact_oracle,
     solve_problem,
 )

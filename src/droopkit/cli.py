@@ -3,7 +3,7 @@
 Subcommands::
 
     solve-droops   grid JSON -> droops JSON (exit 0 optimal, 2 infeasible,
-                   4 precision-limited)
+                   4 precision-limited; on 2 and 4 one stderr line gives the reason)
     check-n1       grid + droops -> contingency CSV (exit 0 secure, 3 not)
     h2             grid + droops -> norms JSON
     simulate       grid + droops + events -> trajectory CSV
@@ -316,16 +316,13 @@ def cmd_solve_droops(args) -> int:
         problem = build_exact_problem(scenario, args.alpha, args.precision)
     except StiffnessError as exc:
         solution = DroopSolution("infeasible", None, None, 0.0, note=str(exc))
-        _dump_json(droops_to_json(solution, scenario.ids), Path(args.out))
-        print(f"droopkit: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    solution = solve_problem(problem, backend=args.backend)
+    else:
+        solution = solve_problem(problem, backend=args.backend)
     _dump_json(droops_to_json(solution, scenario.ids), Path(args.out))
-    if solution.status == "infeasible":
-        return EXIT_INFEASIBLE
-    if solution.status == "precision-limited":
-        return EXIT_PRECISION
-    return EXIT_OK
+    if solution.status == "optimal":
+        return EXIT_OK
+    print(f"droopkit: {solution.status}: {solution.note}", file=sys.stderr)
+    return EXIT_INFEASIBLE if solution.status == "infeasible" else EXIT_PRECISION
 
 
 def cmd_check_n1(args) -> int:

@@ -171,37 +171,51 @@ def _epigraph_rows(n: int):
     return np.repeat(i, 2), np.repeat(c, 2), np.repeat(m, 2), np.tile([1.0, -1.0], i.size)
 
 
-def _exact_lp(problem: DroopProblem):
-    """Matrices of the exact problem as an LP over (x, t).
+def _exact_lp(problem: DroopProblem, face: float | None = None):
+    """The exact problem as an LP over (x, t), in the column-wise form ``_highs_lp`` takes.
 
     Multiplying each post-fault limit through by the (strictly positive)
     surviving stiffness turns it into two linear rows; the absolute-value
-    objective is lifted with one epigraph variable per converter pair.
+    objective is lifted with one epigraph variable per converter pair.  The
+    ``<=`` rows are the limits, then the epigraph rows, then, when ``face`` is
+    given, the tie-break row ``sum(t) <= face``; the stiffness-sum row comes
+    last.  Returns ``(c, start, index, value, row_lo, row_hi, col_lo, col_hi)``:
+    the matrix in CSC sorted by (column, row) with no stored zeros, exactly as
+    ``linprog`` hands it to HiGHS, and ``±kHighsInf`` for a missing bound.
     """
-    n = problem.n
+    n, alpha = problem.n, problem.alpha
     lk, li, la, lb = _limit_rows(problem)
     ei, ec, em, es = _epigraph_rows(n)
-    n_pairs = n * (n - 1) // 2
-    nv = n + n_pairs
-    cvec = np.zeros(nv)
-    cvec[n:] = 1.0
+    nv = n + n * (n - 1) // 2
+    limit, epigraph = np.arange(la.size), la.size + np.arange(es.size)
+    cols = [li, lk, ei, ec, n + em]
+    rows = [limit, limit, epigraph, epigraph, epigraph]
+    vals = [la, lb, es, -es, np.full(es.size, -1.0)]
+    row_hi = [lb * alpha, np.zeros(es.size)]
+    if face is not None:
+        cols.append(np.arange(n, nv))
+        rows.append(np.full(nv - n, la.size + es.size))
+        vals.append(np.ones(nv - n))
+        row_hi.append([face])
+    n_le = sum(len(r) for r in row_hi)
+    cols.append(np.arange(n))
+    rows.append(np.full(n, n_le))
+    vals.append(np.ones(n))
+    col, row, val = (np.concatenate(parts) for parts in (cols, rows, vals))
+    keep = val != 0.0
+    col, row, val = col[keep], row[keep], val[keep]
+    order = np.lexsort((row, col))
+    start = np.zeros(nv + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=nv), out=start[1:])
 
-    a_ub = np.zeros((la.size + es.size, nv))
-    rows = np.arange(la.size)
-    # added onto zeros, so the -0.0 of a zero set-point's lower row is stored as +0.0
-    a_ub[rows, li] += la
-    a_ub[rows, lk] += lb
-    rows = la.size + np.arange(es.size)
-    a_ub[rows, ei] = es
-    a_ub[rows, ec] = -es
-    a_ub[rows, n + em] = -1.0
-    b_ub = np.concatenate([lb * problem.alpha, np.zeros(es.size)])
-
-    a_eq = np.zeros((1, nv))
-    a_eq[0, :n] = 1.0
-    bounds = [(float(problem.x_min[i]), float(problem.x_upper[i])) for i in range(n)]
-    bounds += [(0.0, None)] * n_pairs
-    return cvec, a_ub, b_ub, a_eq, np.array([problem.alpha]), bounds
+    c = np.zeros(nv)
+    c[n:] = 1.0
+    row_lo = np.full(n_le + 1, -_highs.kHighsInf)
+    row_lo[-1] = alpha
+    col_lo, col_hi = np.zeros(nv), np.full(nv, _highs.kHighsInf)
+    col_lo[:n], col_hi[:n] = problem.x_min, problem.x_upper
+    return (c, start, row[order].astype(np.int32), val[order], row_lo,
+            np.append(np.concatenate(row_hi), alpha), col_lo, col_hi)
 
 
 # The options ``linprog(method="highs")`` sets; every other option keeps its default.
@@ -219,17 +233,11 @@ _LP_CHECK_TOL = math.sqrt(1e-9) * 10
 _INFEASIBLE = (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError)
 
 
-def _highs_rows(a_ub, b_ub, a_eq, b_eq):
-    """Rows ``[a_ub; a_eq]`` as ``linprog`` hands them to HiGHS: CSC, no stored zeros."""
-    a = sp.csc_array(np.vstack([a_ub, a_eq]))
-    row_lo = np.concatenate([np.full(b_ub.size, -_highs.kHighsInf), b_eq])
-    return a, row_lo, np.concatenate([b_ub, b_eq])
-
-
-def _highs_lp(c, a, row_lo, row_hi, col_lo, col_hi, what: str):
+def _highs_lp(c, start, index, value, row_lo, row_hi, col_lo, col_hi, what: str):
     """Minimize ``c @ x`` over ``row_lo <= a @ x <= row_hi``, ``col_lo <= x <= col_hi``.
 
-    ``a`` is CSC and infinite bounds are ``±kHighsInf``.  A fresh HiGHS model
+    ``a`` is given column-wise by its CSC arrays ``start``, ``index`` and
+    ``value``, and infinite bounds are ``±kHighsInf``.  A fresh HiGHS model
     gets the options ``linprog(method="highs")`` sets, and an optimum is kept
     only if it passes ``linprog``'s feasibility check, so the answer is
     ``linprog``'s without its per-call wrapper work.  Returns ``(x, fun)`` at
@@ -237,12 +245,12 @@ def _highs_lp(c, a, row_lo, row_hi, col_lo, col_hi, what: str):
     outcome raises ``SolverError`` naming ``what`` and the model status.
     """
     lp = _highs.HighsLp()
-    lp.num_row_, lp.num_col_ = a.shape
-    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+    lp.num_row_, lp.num_col_ = row_lo.size, c.size
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = row_lo.size, c.size
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
     lp.col_cost_ = c
     lp.col_lower_ = col_lo
     lp.col_upper_ = col_hi
@@ -273,13 +281,6 @@ def _highs_lp(c, a, row_lo, row_hi, col_lo, col_hi, what: str):
     raise SolverError(f"{what} failed with HiGHS model status {status.name}")
 
 
-def _exact_cols(problem: DroopProblem, x_lo, x_hi):
-    """Column bounds of the exact LP with the gains in ``[x_lo, x_hi]``."""
-    n_pairs = problem.n * (problem.n - 1) // 2
-    return (np.concatenate([x_lo, np.zeros(n_pairs)]),
-            np.concatenate([x_hi, np.full(n_pairs, _highs.kHighsInf)]))
-
-
 def solve_exact_oracle(problem: DroopProblem, tie_break: bool = True) -> DroopSolution:
     """Globally optimal solve of the exact gain-selection problem.
 
@@ -296,21 +297,21 @@ def solve_exact_oracle(problem: DroopProblem, tie_break: bool = True) -> DroopSo
         if residual <= _FEAS_TOL:
             return DroopSolution("optimal", DroopAssignment(equal), 0.0, residual, backend="oracle")
 
-    cvec, a_ub, b_ub, a_eq, b_eq, _ = _exact_lp(problem)
-    cols = _exact_cols(problem, problem.x_min, problem.x_upper)
-    first = _highs_lp(cvec, *_highs_rows(a_ub, b_ub, a_eq, b_eq), *cols, what="oracle LP")
+    lp = _exact_lp(problem)
+    first = _highs_lp(*lp, what="oracle LP")
     if first is None:
-        return DroopSolution("infeasible", None, None, 0.0, backend="oracle")
+        return DroopSolution("infeasible", None, None, 0.0, backend="oracle", note=(
+            f"no gains summing to alpha={problem.alpha:.12g} keep every post-fault flow within p_max"))
 
     x = first[0][:n]
     if tie_break:
-        fstar = float(cvec @ first[0])
+        fstar = float(lp[0] @ first[0])
         face_tol = 1e-9 * max(1.0, abs(fstar))
-        c2 = np.zeros_like(cvec)
+        c2 = np.zeros_like(lp[0])
         c2[:n] = 0.5 ** np.arange(n)
-        rows = _highs_rows(np.vstack([a_ub, cvec]), np.append(b_ub, fstar + face_tol), a_eq, b_eq)
+        tie_lp = _exact_lp(problem, face=fstar + face_tol)[1:]
         try:
-            second = _highs_lp(c2, *rows, *cols, what="oracle tie-break LP")
+            second = _highs_lp(c2, *tie_lp, what="oracle tie-break LP")
         except SolverError:
             second = None
         # keep the refined vertex only if it stays on the optimal face
@@ -396,9 +397,8 @@ class _MilpLayout:
 
 @dataclass
 class MilpModel:
-    """Linear algebra of the digit-expansion MILP plus its provenance."""
+    """Linear algebra of the digit-expansion MILP."""
 
-    problem: DroopProblem
     layout: _MilpLayout
     c: np.ndarray
     a_eq: sp.csr_matrix
@@ -416,14 +416,6 @@ class MilpModel:
     @property
     def num_constraints(self) -> int:
         return self.b_eq.size + self.b_ub.size
-
-    @property
-    def y_alpha_count(self) -> int:
-        return self.layout.n * 10 * self.layout.np_
-
-    @property
-    def y_x_count(self) -> int:
-        return self.layout.n * 10 * self.layout.np_
 
     @property
     def num_binaries(self) -> int:
@@ -619,7 +611,6 @@ def build_milp(problem: DroopProblem) -> MilpModel:
     c[lay.off_t : lay.off_ya] = 1.0
 
     return MilpModel(
-        problem=problem,
         layout=lay,
         c=c,
         a_eq=eq.matrix(lay.num_vars),
@@ -719,20 +710,22 @@ def _solve_bnb(problem: DroopProblem, node_limit: int = 200_000) -> DroopSolutio
     """
     q = 10.0**problem.psi
     if not _grid_ok(problem):
-        note = f"alpha={problem.alpha:g} is not representable on the 10^{problem.psi} grid"
+        note = f"alpha={problem.alpha:.12g} is not representable on the 10^{problem.psi} grid"
         return DroopSolution("infeasible", None, None, 0.0, backend="bnb", note=note)
 
-    cvec, a_ub, b_ub, a_eq, b_eq, _ = _exact_lp(problem)
     n = problem.n
     xlo0 = np.ceil((problem.x_min - 1e-9) / q) * q
     xup0 = np.floor((problem.x_upper + 1e-9) / q) * q
     if np.any(xlo0 > xup0 + 1e-12):
-        return DroopSolution("infeasible", None, None, 0.0, backend="bnb")
+        return DroopSolution("infeasible", None, None, 0.0, backend="bnb",
+                             note=f"some gain's bounds hold no point of the 10^{problem.psi} grid")
 
-    rows = _highs_rows(a_ub, b_ub, a_eq, b_eq)  # every node shares the rows
+    lp = _exact_lp(problem)  # every node shares it and overwrites only the gain bounds
+    col_lo, col_hi = lp[-2:]
 
     def solve_node(lo, hi):
-        res = _highs_lp(cvec, *rows, *_exact_cols(problem, lo, hi), what="B&B node LP")
+        col_lo[:n], col_hi[:n] = lo, hi
+        res = _highs_lp(*lp, what="B&B node LP")
         if res is None:
             return None, np.inf
         return res[0][:n], res[1]
@@ -753,7 +746,7 @@ def _solve_bnb(problem: DroopProblem, node_limit: int = 200_000) -> DroopSolutio
     # seed the incumbent from the continuous optimum
     oracle = solve_exact_oracle(problem, tie_break=False)
     if oracle.status == "infeasible":
-        return DroopSolution("infeasible", None, None, 0.0, backend="bnb")
+        return replace(oracle, backend="bnb")
     offer(_repair_to_grid(oracle.assignment.x, problem, xlo0, xup0))
 
     prune_margin = q * (1.0 - 1e-6)
@@ -801,7 +794,8 @@ def _solve_bnb(problem: DroopProblem, node_limit: int = 200_000) -> DroopSolutio
                 break
 
     if best_x is None:
-        return DroopSolution("infeasible", None, None, 0.0, backend="bnb")
+        return DroopSolution("infeasible", None, None, 0.0, backend="bnb", note=(
+            f"no point of the 10^{problem.psi} grid keeps every post-fault flow within p_max"))
     return DroopSolution(
         status="optimal",
         assignment=DroopAssignment(best_x),
@@ -812,20 +806,18 @@ def _solve_bnb(problem: DroopProblem, node_limit: int = 200_000) -> DroopSolutio
     )
 
 
-def _solve_highs(model: MilpModel, time_limit: float | None = None) -> DroopSolution:
-    """Pass the digit-expansion MILP to the external HiGHS solver.
+def _solve_highs(problem: DroopProblem) -> DroopSolution:
+    """Pass the digit-expansion MILP of ``problem`` to the external HiGHS solver.
 
     HiGHS prints some debug lines with a raw ``printf`` that no ``milp``
     option gates, so file descriptor 1 points at ``os.devnull`` for the
     duration of the call and is restored afterwards.
     """
+    model = build_milp(problem)
     constraints = [
         LinearConstraint(model.a_eq, model.b_eq, model.b_eq),
         LinearConstraint(model.a_ub, -np.inf, model.b_ub),
     ]
-    options = {"mip_rel_gap": 0.0}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
     sys.stdout.flush()
     saved_stdout = os.dup(1)
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -834,18 +826,17 @@ def _solve_highs(model: MilpModel, time_limit: float | None = None) -> DroopSolu
     try:
         res = _highs_milp(c=model.c, constraints=constraints,
                           integrality=model.integrality.astype(int),
-                          bounds=Bounds(model.lb, model.ub), options=options)
+                          bounds=Bounds(model.lb, model.ub), options={"mip_rel_gap": 0.0})
     finally:
         os.dup2(saved_stdout, 1)
         os.close(saved_stdout)
     if res.status == 2:
-        return DroopSolution("infeasible", None, None, 0.0, backend="highs")
+        return DroopSolution("infeasible", None, None, 0.0, backend="highs",
+                             note="HiGHS finds the digit-expansion MILP infeasible")
     if res.status != 0 or res.x is None:
         raise SolverError(f"HiGHS MILP failed with status {res.status}: {res.message}")
-    problem = model.problem
     q = 10.0**problem.psi
-    n = problem.n
-    x = np.round(res.x[:n] / q) * q
+    x = np.round(res.x[: problem.n] / q) * q
     return DroopSolution(
         status="optimal",
         assignment=DroopAssignment(x),
@@ -855,24 +846,22 @@ def _solve_highs(model: MilpModel, time_limit: float | None = None) -> DroopSolu
     )
 
 
-def solve(model: MilpModel, backend: str = "bnb", **options) -> DroopSolution:
-    """Solve the MILP and re-validate the result against the exact limits.
+def solve_problem(problem: DroopProblem, backend: str = "oracle", **options) -> DroopSolution:
+    """Solve ``problem`` with one backend: the oracle LP by default, "bnb" or "highs".
 
-    Returns status "precision-limited" when the solver reports an optimum
-    whose exact residual exceeds what the digit precision should allow, in
-    which case the caller should lower psi.
+    The grid backends' optimum is re-validated against the exact limits: it
+    comes back as "precision-limited" when its exact residual exceeds what
+    the digit precision should allow, in which case the caller should lower
+    psi.
     """
+    if backend == "oracle":
+        return solve_exact_oracle(problem, **options)
     if backend == "bnb":
-        sol = _solve_bnb(model.problem, **options)
+        sol = _solve_bnb(problem, **options)
     elif backend == "highs":
-        sol = _solve_highs(model, **options)
+        sol = _solve_highs(problem, **options)
     else:
-        raise ValueError(f"unknown MILP backend {backend!r} (expected 'bnb' or 'highs')")
-    return _precision_checked(sol, model.problem)
-
-
-def _precision_checked(sol: DroopSolution, problem: DroopProblem) -> DroopSolution:
-    """``sol``, or its "precision-limited" copy when its residual is too large."""
+        raise ValueError(f"unknown backend {backend!r} (expected 'oracle', 'bnb' or 'highs')")
     if sol.status != "optimal":
         return sol
     tol = 10.0 * 10.0**problem.psi * float(np.max(np.abs(problem.p_ref), initial=0.0))
@@ -880,12 +869,3 @@ def _precision_checked(sol: DroopSolution, problem: DroopProblem) -> DroopSoluti
         note = f"exact residual {sol.residual:.3e} exceeds precision tolerance {tol:.3e}"
         return replace(sol, status="precision-limited", note=note)
     return sol
-
-
-def solve_problem(problem: DroopProblem, backend: str = "oracle", **options) -> DroopSolution:
-    """One-call interface: oracle LP by default, MILP backends on request."""
-    if backend == "oracle":
-        return solve_exact_oracle(problem, **options)
-    if backend == "bnb":
-        return _precision_checked(_solve_bnb(problem, **options), problem)
-    return solve(build_milp(problem), backend=backend, **options)

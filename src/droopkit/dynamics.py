@@ -32,6 +32,9 @@ _DIVERGENCE_LIMIT = 1e6
 # The Laplacian's zero mode is an exact eigenvalue 1 of the step matrix, which
 # rounding moves by a few 1e-16; growth beyond this is a genuinely unstable step.
 _RK4_GROWTH_TOL = 1e-9
+#: Most RK4 steps one ``simulate`` call takes; at n = 6 that many already need
+#: about 2 GB of trajectory and state arrays, so more are rejected before allocating.
+MAX_STEPS = 10**7
 # Largest distance of t/dt from an integer still accepted as on the step grid.
 _GRID_TOL = 1e-6
 # Rows per formatted block of trajectory CSV: big enough to amortise the
@@ -371,7 +374,11 @@ def simulate(
         raise ScenarioError("simulation needs a model built by assemble_model")
     if not (0 < dt < math.inf and 0 < t_end < math.inf):
         raise ScenarioError("dt and t_end must be positive and finite")
-    n_steps = int(round(t_end / dt))
+    step_count = t_end / dt  # a float: inf when dt is subnormal
+    if not step_count <= MAX_STEPS:
+        raise ScenarioError(f"dt={dt:g}s and t_end={t_end:g}s need {step_count:.3g} steps, "
+                            f"more than the {MAX_STEPS:,} a simulation may take")
+    n_steps = int(round(step_count))
     for ev in events:
         if not 0.0 <= ev.time <= t_end:
             raise ScenarioError(f"event at t={ev.time:g}s outside horizon [0, {t_end:g}]s")

@@ -86,7 +86,7 @@ def test_solve_droops_writes_solution_and_exit_zero(grid_file, tmp_path, island)
     assert asn.alpha == pytest.approx(600.0, abs=1e-6)
 
 
-def test_solve_droops_infeasible_exit_two(tmp_path, island):
+def test_solve_droops_infeasible_exit_two(tmp_path, island, capsys):
     # everyone pinned at the limit: no post-fault headroom anywhere
     doc = grid_to_json(island)
     for conv in doc["converters"]:
@@ -95,16 +95,23 @@ def test_solve_droops_infeasible_exit_two(tmp_path, island):
     grid = tmp_path / "loaded.json"
     grid.write_text(json.dumps(doc))
     out = tmp_path / "droops.json"
-    rc = main(["solve-droops", "--grid", str(grid), "--out", str(out)])
-    assert rc == 2
-    assert json.loads(out.read_text())["status"] == "infeasible"
+    for backend in ("oracle", "bnb"):
+        rc = main(["solve-droops", "--grid", str(grid), "--backend", backend, "--out", str(out)])
+        _assert_one_line_usage_error(rc, capsys, "droopkit: infeasible: no gains summing to "
+                                     "alpha=600 keep every post-fault flow within p_max", code=2)
+        assert json.loads(out.read_text())["status"] == "infeasible"
 
 
-def test_solve_droops_unreachable_alpha_exit_two(grid_file, tmp_path):
+def test_solve_droops_unreachable_alpha_exit_two(grid_file, tmp_path, capsys):
     out = tmp_path / "droops.json"
-    rc = main(["solve-droops", "--grid", str(grid_file), "--alpha", "50", "--out", str(out)])
-    assert rc == 2
-    assert json.loads(out.read_text())["status"] == "infeasible"
+    for alpha, backend, reason in (
+        ("50", "oracle", "stiffness target unreachable: alpha=50 does not exceed"),
+        ("600.0005", "bnb", "alpha=600.0005 is not representable on the 10^-3 grid"),
+    ):
+        rc = main(["solve-droops", "--grid", str(grid_file), "--alpha", alpha,
+                   "--backend", backend, "--out", str(out)])
+        _assert_one_line_usage_error(rc, capsys, f"droopkit: infeasible: {reason}", code=2)
+        assert json.loads(out.read_text())["status"] == "infeasible"
 
 
 def test_check_n1_exit_codes(grid_file, tmp_path):
@@ -179,17 +186,19 @@ def test_market_loop_outputs(grid_file, hours_file, tmp_path):
     assert summary["hours"] == 6
 
 
-def test_precision_limited_exit_four(grid_file, tmp_path, monkeypatch):
+def test_precision_limited_exit_four(grid_file, tmp_path, monkeypatch, capsys):
     import droopkit.cli as cli_mod
     from droopkit.droop_opt import DroopSolution
 
     def fake_solve_problem(problem, backend="oracle", **kw):
-        return DroopSolution("precision-limited", None, None, 0.5)
+        return DroopSolution("precision-limited", None, None, 0.5,
+                             note="exact residual 5.000e-01 exceeds precision tolerance 9.405e-03")
 
     monkeypatch.setattr(cli_mod, "solve_problem", fake_solve_problem)
     out = tmp_path / "droops.json"
     rc = main(["solve-droops", "--grid", str(grid_file), "--out", str(out)])
-    assert rc == 4
+    _assert_one_line_usage_error(rc, capsys, "droopkit: precision-limited: exact residual "
+                                 "5.000e-01 exceeds precision tolerance", code=4)
     assert json.loads(out.read_text())["status"] == "precision-limited"
 
 
@@ -206,9 +215,9 @@ def test_console_entry_point_runs():
     assert "solve-droops" in proc.stdout
 
 
-def _assert_one_line_usage_error(rc, capsys, *needles):
+def _assert_one_line_usage_error(rc, capsys, *needles, code=1):
     err = capsys.readouterr().err
-    assert rc == 1
+    assert rc == code
     assert err.startswith("droopkit: ") and err.count("\n") == 1
     assert "Traceback" not in err
     for needle in needles:
@@ -228,6 +237,19 @@ def test_simulate_off_grid_event_exits_one(grid_file, tmp_path, capsys):
     rc = main(["simulate", "--grid", str(grid_file), "--alpha", "600", "--dt", "1e-3",
                "--t-end", "1", "--event", "outage:UK@0.5005", "--out", str(out)])
     _assert_one_line_usage_error(rc, capsys, "off the dt=0.001s step grid", "0.5s and 0.501s")
+    assert not out.exists()
+
+
+# each would overflow int(), exceed numpy's size limit or exhaust memory if not rejected first
+@pytest.mark.parametrize("dt, t_end, steps", [("5e-324", "2", "inf"), ("1e-300", "2", "2e+300"),
+                                              ("1e-9", "1", "1e+09")])
+def test_simulate_too_many_steps_exits_one_naming_dt_and_t_end(grid_file, tmp_path, capsys, dt,
+                                                                t_end, steps):
+    out = tmp_path / "traj.csv"
+    rc = main(["simulate", "--grid", str(grid_file), "--dt", dt, "--t-end", t_end,
+               "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, f"and t_end={t_end}s need {steps} steps",
+                                 "more than the 10,000,000 a simulation may take")
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from droopkit import fixtures
+from droopkit import dynamics, fixtures
 from droopkit.core import (
     Converter,
     DroopAssignment,
@@ -462,6 +462,15 @@ def test_off_grid_event_time_rejected(island, equal600):
         simulate(model, [ConverterOutage(time=0.5005, converter_id="UK")], dt=1e-3, t_end=1.0)
     with pytest.raises(ScenarioError, match="positive and finite"):
         simulate(model, [], dt=1e-3, t_end=float("inf"))
+
+
+def test_step_count_bound_is_inclusive(island, equal600, monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
+    model = assemble_model(island, equal600, 0.02)
+    assert simulate(model, [], dt=1e-2, t_end=1.0).time.size == 101
+    with pytest.raises(ScenarioError, match=r"dt=0\.01s and t_end=1\.01s need 101 steps, "
+                                            "more than the 100 a simulation may take"):
+        simulate(model, [], dt=1e-2, t_end=1.01)
 
 
 def _reference_trajectory_csv(traj):
