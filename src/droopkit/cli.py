@@ -395,18 +395,17 @@ def cmd_market_loop(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     lines = ["hour,link,capacity_mw,flow_mw,reduced_mw,secure"]
-    # every planned hour ends N-1 secure, so the last column is always true
-    row_fmt = "%d,%s,%.12g,%.12g,%.12g,true"
+    # one format string renders a record's rows, one per link; every planned
+    # hour ends N-1 secure, so the last column is always true
+    record_fmt = "\n".join(f"%d,{cid.replace('%', '%%')},%.12g,%.12g,%.12g,true"
+                           for cid in run.link_ids)
+    cells: list = [0] * (4 * len(run.link_ids))
     for rec in run.records:
-        lines.extend(
-            row_fmt % (rec.hour, cid, cap, flow, red)
-            for cid, cap, flow, red in zip(
-                run.link_ids,
-                rec.capacity_mw.tolist(),
-                rec.flow_mw.tolist(),
-                rec.reduced_mw.tolist(),
-            )
-        )
+        cells[0::4] = [rec.hour] * len(run.link_ids)
+        cells[1::4] = rec.capacity_mw.tolist()
+        cells[2::4] = rec.flow_mw.tolist()
+        cells[3::4] = rec.reduced_mw.tolist()
+        lines.append(record_fmt % tuple(cells))
     (out_dir / "capacities.csv").write_text("\n".join(lines) + "\n")
 
     curves = duration_curves(run)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -190,7 +191,11 @@ def kron_reduction(lap: np.ndarray, keep: Sequence[int]) -> tuple[np.ndarray, np
 
 @dataclass(frozen=True)
 class GridScenario:
-    """Converters, wind injections and network forming the planning input."""
+    """Converters, wind injections and network forming the planning input.
+
+    The per-converter views (``ids``, ``p_ref``, ...) are computed once: the
+    dataclass is frozen and the arrays are read-only.
+    """
 
     base: SystemBase
     converters: tuple[Converter, ...]
@@ -215,23 +220,23 @@ class GridScenario:
     def n(self) -> int:
         return len(self.converters)
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.converters)
 
-    @property
+    @cached_property
     def p_ref(self) -> np.ndarray:
         return _readonly(c.p_ref for c in self.converters)
 
-    @property
+    @cached_property
     def p_max(self) -> np.ndarray:
         return _readonly(c.p_max for c in self.converters)
 
-    @property
+    @cached_property
     def x_min(self) -> np.ndarray:
         return _readonly(c.x_min for c in self.converters)
 
-    @property
+    @cached_property
     def ratings_mva(self) -> np.ndarray:
         return _readonly(c.rating_mva for c in self.converters)
 

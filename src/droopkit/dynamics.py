@@ -32,9 +32,13 @@ _DIVERGENCE_LIMIT = 1e6
 # The Laplacian's zero mode is an exact eigenvalue 1 of the step matrix, which
 # rounding moves by a few 1e-16; growth beyond this is a genuinely unstable step.
 _RK4_GROWTH_TOL = 1e-9
-#: Most RK4 steps one ``simulate`` call takes; at n = 6 that many already need
-#: about 2 GB of trajectory and state arrays, so more are rejected before allocating.
+#: Most RK4 steps one ``simulate`` call takes; more are rejected before allocating.
 MAX_STEPS = 10**7
+#: Most bytes of trajectory and state arrays one ``simulate`` call may allocate:
+#: ``times``, ``freq`` and ``power`` over every sample plus one segment's
+#: ``states``, ``8 * (1 + 4 n)`` bytes per sample for n converters.  At n = 6
+#: that admits about 1.3 million steps; larger runs are rejected before allocating.
+MAX_TRAJECTORY_BYTES = 2**28
 # Largest distance of t/dt from an integer still accepted as on the step grid.
 _GRID_TOL = 1e-6
 # Rows per formatted block of trajectory CSV: big enough to amortise the
@@ -379,6 +383,12 @@ def simulate(
         raise ScenarioError(f"dt={dt:g}s and t_end={t_end:g}s need {step_count:.3g} steps, "
                             f"more than the {MAX_STEPS:,} a simulation may take")
     n_steps = int(round(step_count))
+    n_all = model.scenario.n
+    trajectory_bytes = 8 * (n_steps + 1) * (1 + 4 * n_all)
+    if trajectory_bytes > MAX_TRAJECTORY_BYTES:
+        raise ScenarioError(f"dt={dt:g}s and t_end={t_end:g}s need {trajectory_bytes:,} bytes "
+                            f"of trajectory and state arrays, more than the "
+                            f"{MAX_TRAJECTORY_BYTES:,} a simulation may allocate")
     for ev in events:
         if not 0.0 <= ev.time <= t_end:
             raise ScenarioError(f"event at t={ev.time:g}s outside horizon [0, {t_end:g}]s")
@@ -390,7 +400,6 @@ def simulate(
             )
 
     all_ids = model.scenario.ids
-    n_all = len(all_ids)
     times = np.arange(n_steps + 1) * dt
     freq = np.full((n_steps + 1, n_all), np.nan)
     power = np.zeros((n_steps + 1, n_all))

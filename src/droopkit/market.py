@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,33 +55,41 @@ class HourScenario:
         if self.wind_mw < 0 or np.any(self.offered_mw < 0):
             raise ScenarioError("wind and offered capacities must be non-negative")
 
+    @cached_property
+    def merit_order(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """Links and quantities of every buying segment (positive price and
+        quantity), by descending price, then link index, then segment position.
+        Two flat tuples hold a year of hours in about half the memory of one
+        ``(link, quantity)`` pair per segment (3.4 against 6.8 MiB at 8760 h)."""
+        order = sorted([
+            (-seg.price_eur_mwh, li, si, seg.quantity_mw)
+            for li, curve in enumerate(self.bids)
+            for si, seg in enumerate(curve)
+            if seg.price_eur_mwh > 0 and seg.quantity_mw > 0
+        ])
+        return tuple([o[1] for o in order]), tuple([o[3] for o in order])
+
 
 def clear_market(hour: HourScenario, capacities_mw: np.ndarray | None = None) -> np.ndarray:
     """Welfare-maximizing flows (MW per link) under capacity and wind limits.
 
-    Deterministic: segments are filled in order of descending price, ties
-    broken by lower link index then segment position; only positive prices
-    buy energy, the rest of the wind is curtailed.
+    Deterministic: segments are filled in the hour's merit order, so only
+    positive prices buy energy; the rest of the wind is curtailed.
     """
-    caps = np.array(hour.offered_mw if capacities_mw is None else capacities_mw, dtype=float)
+    caps = np.asarray(hour.offered_mw if capacities_mw is None else capacities_mw, dtype=float)
     if caps.size != len(hour.link_ids):
         raise ScenarioError("capacity vector does not match links")
-    order = []
-    for li, curve in enumerate(hour.bids):
-        for si, seg in enumerate(curve):
-            if seg.price_eur_mwh > 0 and seg.quantity_mw > 0:
-                order.append((-seg.price_eur_mwh, li, si, seg.quantity_mw))
-    order.sort()
-    flows = np.zeros(caps.size)
+    caps = caps.tolist()
+    flows = [0.0] * len(caps)
     wind_left = hour.wind_mw
-    for _, li, _, qty in order:
+    for li, qty in zip(*hour.merit_order):
         if wind_left <= 0:
             break
         take = min(qty, caps[li] - flows[li], wind_left)
         if take > 0:
             flows[li] += take
             wind_left -= take
-    return flows
+    return np.array(flows)
 
 
 @dataclass
@@ -119,6 +128,47 @@ def _check_step_mw(step_mw: float) -> None:
         raise ScenarioError(f"step_mw={step_mw:g} must be finite and positive")
 
 
+def _usable_mw(template: GridScenario) -> np.ndarray:
+    """Largest capacity (MW) an hour may offer per converter, with a 1e-9 slack."""
+    return template.ratings_mva * template.p_max + 1e-9
+
+
+def _check_hour(template: GridScenario, hour: HourScenario, policy: str,
+                usable_mw: np.ndarray) -> None:
+    if hour.link_ids != template.ids:
+        raise ScenarioError("hour links do not match scenario converters")
+    if policy not in ("equal", "adaptive"):
+        raise ScenarioError(f"unknown policy {policy!r}")
+    if (hour.offered_mw > usable_mw).any():
+        raise ScenarioError(
+            f"hour {hour.hour}: offered capacity exceeds a converter's usable rating"
+        )
+
+
+def _equal_gains(template: GridScenario, alpha: float) -> DroopAssignment:
+    equal = DroopAssignment.equal(alpha, template.n)
+    if np.any(equal.x < template.x_min - 1e-12):
+        raise ScenarioError("equal policy violates the gain lower bounds")
+    return equal
+
+
+def _record(template: GridScenario, hour: HourScenario, caps: np.ndarray, flows: np.ndarray,
+            iterations: int, status: str, x: np.ndarray) -> HourRecord:
+    offered = np.array(hour.offered_mw)
+    return HourRecord(
+        hour=hour.hour,
+        link_ids=template.ids,
+        offered_mw=offered,
+        capacity_mw=caps,
+        flow_mw=flows,
+        reduced_mw=offered - caps,
+        iterations=iterations,
+        curtailed_mwh=float(hour.wind_mw - flows.sum()),
+        droop_status=status,
+        x=x.copy(),
+    )
+
+
 def plan_hour(
     template: GridScenario,
     hour: HourScenario,
@@ -137,18 +187,9 @@ def plan_hour(
     backend finds no gains even then, which raises ScenarioError.
     """
     _check_step_mw(step_mw)
-    if tuple(hour.link_ids) != template.ids:
-        raise ScenarioError("hour links do not match scenario converters")
-    if policy not in ("equal", "adaptive"):
-        raise ScenarioError(f"unknown policy {policy!r}")
+    _check_hour(template, hour, policy, _usable_mw(template))
+    equal = _equal_gains(template, alpha)
     s_base, x_min, p_max = template.base.s_base_mva, template.x_min, template.p_max
-    if np.any(hour.offered_mw > template.ratings_mva * p_max + 1e-9):
-        raise ScenarioError(
-            f"hour {hour.hour}: offered capacity exceeds a converter's usable rating"
-        )
-    equal = DroopAssignment.equal(alpha, template.n)
-    if np.any(equal.x < x_min - 1e-12):
-        raise ScenarioError("equal policy violates the gain lower bounds")
 
     caps = np.array(hour.offered_mw, dtype=float)
     iterations = 0
@@ -167,32 +208,49 @@ def plan_hour(
         # the converters that force the capacity reduction
         x = (equal if assignment is None else assignment).x
         excess = post_fault_excess(x, p_ref, p_max, float(x.sum()))
-        violated = np.flatnonzero(np.any(excess > VIOLATION_TOL, axis=0))
-        if assignment is None and not violated.size:
-            violated = np.argmax(np.abs(flows), keepdims=True)
+        violated = (excess > VIOLATION_TOL).any(axis=0)
+        if assignment is None and not violated.any():
+            violated[np.argmax(np.abs(flows))] = True
 
-        if not violated.size:
-            return HourRecord(
-                hour=hour.hour,
-                link_ids=template.ids,
-                offered_mw=np.array(hour.offered_mw),
-                capacity_mw=caps,
-                flow_mw=flows,
-                reduced_mw=np.array(hour.offered_mw) - caps,
-                iterations=iterations,
-                curtailed_mwh=float(hour.wind_mw - flows.sum()),
-                droop_status=status,
-                x=x.copy(),
-            )
+        if not violated.any():
+            return _record(template, hour, caps, flows, iterations, status, x)
 
         iterations += 1
-        if not np.any(caps[violated] > 0):
+        if not (caps[violated] > 0).any():
             # violated links already at zero: shrink every loaded link
-            violated = np.flatnonzero(caps > 0)
-            if not violated.size:  # no gains even at zero flows: nothing left to withdraw
+            violated = caps > 0
+            if not violated.any():  # no gains even at zero flows: nothing left to withdraw
                 raise ScenarioError(f"hour {hour.hour}: the {backend} backend finds no gains "
                                     f"even at zero flows: {sol.note or sol.status}")
         caps[violated] = np.maximum(0.0, caps[violated] - step_mw)
+
+
+def _plan_equal(template: GridScenario, hours: list[HourScenario], step_mw: float,
+                alpha: float, backend: str, psi: int) -> list[HourRecord]:
+    """``plan_hour`` under the equal policy for every hour, in the given order.
+
+    Every hour is cleared at its offered capacity and all of them are screened
+    as one stacked array; a secure hour needs no reduction and gets its record
+    here, the rest go through ``plan_hour``.
+    """
+    if not hours:
+        return []
+    usable = _usable_mw(template)
+    for i, hour in enumerate(hours):
+        _check_hour(template, hour, "equal", usable)
+        if i == 0:  # plan_hour checks the gains after its hour's own checks
+            x = _equal_gains(template, alpha).x
+    flows = [clear_market(hour) for hour in hours]
+    excess = post_fault_excess(x, np.array(flows) / template.base.s_base_mva,
+                               template.p_max, float(x.sum()))
+    secure = ~(excess > VIOLATION_TOL).any(axis=(1, 2))
+    return [
+        _record(template, hour, np.array(hour.offered_mw, dtype=float), f, 0, "equal", x)
+        if ok else
+        plan_hour(template, hour, policy="equal", step_mw=step_mw, alpha=alpha,
+                  backend=backend, psi=psi)
+        for hour, f, ok in zip(hours, flows, secure.tolist())
+    ]
 
 
 def plan(
@@ -207,11 +265,12 @@ def plan(
     """Plan every hour independently; records are ordered by hour index."""
     _check_step_mw(step_mw)
     run = PlanningRun(policy=policy, alpha=alpha, step_mw=step_mw, link_ids=template.ids)
-    for hour in sorted(hours, key=lambda h: h.hour):
-        run.records.append(
-            plan_hour(template, hour, policy=policy, step_mw=step_mw, alpha=alpha,
-                      backend=backend, psi=psi)
-        )
+    ordered = sorted(hours, key=lambda h: h.hour)
+    if policy == "equal":
+        run.records = _plan_equal(template, ordered, step_mw, alpha, backend, psi)
+    else:
+        run.records = [plan_hour(template, hour, policy=policy, step_mw=step_mw, alpha=alpha,
+                                 backend=backend, psi=psi) for hour in ordered]
     return run
 
 

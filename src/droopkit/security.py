@@ -50,19 +50,26 @@ def post_fault_sharing(
     ``delta[k] = p_ref[k] / (alpha - x[k])`` is the SSFD (pu) after losing
     converter k, and ``flows[k, i] = p_ref[i] + x[i] * delta[k]`` is the power
     converter i settles at; the diagonal ``flows[k, k]`` is not a survivor.
+    ``x`` and ``p_ref`` may be stacked on leading axes (``(H, n)`` in gives
+    ``delta`` of ``(H, n)`` and ``flows`` of ``(H, n, n)``); ``alpha`` is a scalar.
     """
     delta = p_ref / (alpha - x)
-    return delta, p_ref + x * delta[:, None]
+    flows = x[..., None, :] * delta[..., :, None]
+    flows += p_ref[..., None, :]  # in place: a stack of hours needs no second (H, n, n) array
+    return delta, flows
 
 
 def post_fault_excess(
     x: np.ndarray, p_ref: np.ndarray, p_max: np.ndarray, alpha: float
 ) -> np.ndarray:
-    """``excess[k, i] = |flows[k, i]| - p_max[i]`` (pu) after losing converter k;
-    the diagonal is 0.0, as the tripped converter itself carries nothing."""
-    _, flows = post_fault_sharing(x, p_ref, alpha)
-    excess = np.abs(flows) - p_max
-    np.fill_diagonal(excess, 0.0)
+    """``excess[..., k, i] = |flows[..., k, i]| - p_max[i]`` (pu) after losing
+    converter k; the diagonal is 0.0, as the tripped converter itself carries
+    nothing.  Stacks on leading axes as ``post_fault_sharing`` does."""
+    _, excess = post_fault_sharing(x, p_ref, alpha)
+    np.abs(excess, out=excess)
+    excess -= p_max
+    diag = np.arange(excess.shape[-1])
+    excess[..., diag, diag] = 0.0
     return excess
 
 

@@ -13,8 +13,10 @@ from droopkit.cli import (
     hours_from_csv,
     hours_to_csv,
     load_droops,
+    load_grid,
     main,
 )
+from droopkit.market import plan
 
 
 @pytest.fixture
@@ -186,6 +188,31 @@ def test_market_loop_outputs(grid_file, hours_file, tmp_path):
     assert summary["hours"] == 6
 
 
+def test_market_loop_capacities_rows_match_per_cell_rendering(tmp_path, island, hours_file):
+    # converter ids holding "%" must come out verbatim from the per-record format string
+    renamed = {"UK": "U%sK", "DE": "D%%E", "NL": "N%dL%"}
+    grid_text = json.dumps(grid_to_json(island))
+    hours_text = hours_file.read_text()
+    for old, new in renamed.items():
+        grid_text = grid_text.replace(f'"{old}"', f'"{new}"')
+        hours_text = hours_text.replace(f"cap_{old},", f"cap_{new},")
+    (tmp_path / "g.json").write_text(grid_text)
+    (tmp_path / "h.csv").write_text(hours_text)
+    out = tmp_path / "mkt"
+    rc = main(["market-loop", "--grid", str(tmp_path / "g.json"), "--hours",
+               str(tmp_path / "h.csv"), "--policy", "equal", "--out", str(out)])
+    assert rc == 0
+    scenario = load_grid(tmp_path / "g.json")
+    run = plan(scenario, hours_from_csv(hours_text, scenario.ids), policy="equal")
+    want = ["hour,link,capacity_mw,flow_mw,reduced_mw,secure"]
+    for rec in run.records:
+        for j, cid in enumerate(run.link_ids):
+            want.append(f"{rec.hour},{cid},{rec.capacity_mw[j]:.12g},{rec.flow_mw[j]:.12g},"
+                        f"{rec.reduced_mw[j]:.12g},true")
+    assert set(renamed.values()) <= set(run.link_ids)
+    assert (out / "capacities.csv").read_text() == "\n".join(want) + "\n"
+
+
 def test_precision_limited_exit_four(grid_file, tmp_path, monkeypatch, capsys):
     import droopkit.cli as cli_mod
     from droopkit.droop_opt import DroopSolution
@@ -250,6 +277,17 @@ def test_simulate_too_many_steps_exits_one_naming_dt_and_t_end(grid_file, tmp_pa
                "--out", str(out)])
     _assert_one_line_usage_error(rc, capsys, f"and t_end={t_end}s need {steps} steps",
                                  "more than the 10,000,000 a simulation may take")
+    assert not out.exists()
+
+
+def test_simulate_too_many_bytes_exits_one_naming_bytes_dt_and_t_end(grid_file, tmp_path,
+                                                                      capsys):
+    # 10**7 steps are within MAX_STEPS, but at n = 6 their arrays need about 2 GB
+    out = tmp_path / "traj.csv"
+    rc = main(["simulate", "--grid", str(grid_file), "--dt", "1e-7", "--t-end", "1",
+               "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, "dt=1e-07s and t_end=1s need 2,000,000,200 bytes",
+                                 "more than the 268,435,456 a simulation may allocate")
     assert not out.exists()
 
 

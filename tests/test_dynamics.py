@@ -473,6 +473,16 @@ def test_step_count_bound_is_inclusive(island, equal600, monkeypatch):
         simulate(model, [], dt=1e-2, t_end=1.01)
 
 
+def test_trajectory_byte_bound_is_inclusive(island, equal600, monkeypatch):
+    # n = 6: 8 * (1 + 4 * 6) = 200 bytes per sample, 101 samples at dt = 0.01 over 1 s
+    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_BYTES", 20_200)
+    model = assemble_model(island, equal600, 0.02)
+    assert simulate(model, [], dt=1e-2, t_end=1.0).time.size == 101
+    with pytest.raises(ScenarioError, match=r"dt=0\.01s and t_end=1\.01s need 20,400 bytes of "
+                                            "trajectory and state arrays, more than the 20,200"):
+        simulate(model, [], dt=1e-2, t_end=1.01)
+
+
 def _reference_trajectory_csv(traj):
     """The per-cell formatter trajectory_to_csv replaced; its bytes are the contract."""
     lines = []

@@ -189,6 +189,49 @@ def test_offered_capacity_above_usable_rating_rejected(island):
         plan_hour(island, hour, policy="equal")
 
 
+def _per_hour_error(island, hours, **kwargs):
+    """The message the loop of ``plan_hour`` calls over ``hours`` in hour order raises."""
+    with pytest.raises(ScenarioError) as info:
+        for hour in sorted(hours, key=lambda h: h.hour):
+            plan_hour(island, hour, **kwargs)
+    return str(info.value)
+
+
+def _wrong_links_hour(hour):
+    return HourScenario(hour=hour, wind_mw=1000.0, link_ids=fixtures.COUNTRIES[::-1],
+                        offered_mw=np.full(6, 800.0),
+                        bids=make_hour([800.0] * 6, wind=1000.0).bids)
+
+
+_GOOD = make_hour([800.0] * 6, wind=1000.0, hour=0)
+_ABOVE_RATING = "offered capacity exceeds a converter's usable rating"
+_WRONG_LINKS = "hour links do not match scenario converters"
+_BELOW_X_MIN = "equal policy violates the gain lower bounds"
+
+
+# list order differs from hour order: the first bad hour in hour order decides
+@pytest.mark.parametrize("hours, alpha, message", [
+    ([_GOOD, make_hour([1800.0] * 6, 5000.0, hour=5), make_hour([1800.0] * 6, 5000.0, hour=3)],
+     600.0, f"hour 3: {_ABOVE_RATING}"),
+    ([_GOOD, _wrong_links_hour(5), make_hour([1800.0] * 6, 5000.0, hour=3)],
+     600.0, f"hour 3: {_ABOVE_RATING}"),
+    ([_GOOD, make_hour([1800.0] * 6, 5000.0, hour=5), _wrong_links_hour(3)],
+     600.0, _WRONG_LINKS),
+    # the gain bound is checked after the first hour's own checks, before the second hour's
+    ([_GOOD, _wrong_links_hour(5)], 30.0, _BELOW_X_MIN),
+    ([make_hour([1800.0] * 6, 5000.0, hour=4), _GOOD], 30.0, _BELOW_X_MIN),
+    ([make_hour([1800.0] * 6, 5000.0, hour=4), _wrong_links_hour(7)], 30.0,
+     f"hour 4: {_ABOVE_RATING}"),
+])
+@pytest.mark.parametrize("policy", ["equal", "adaptive"])
+def test_plan_raises_the_per_hour_loops_error_for_the_first_bad_hour(island, hours, alpha,
+                                                                     message, policy):
+    assert _per_hour_error(island, hours, policy=policy, alpha=alpha) == message
+    with pytest.raises(ScenarioError) as info:
+        plan(island, hours, policy=policy, alpha=alpha)
+    assert str(info.value) == message
+
+
 def test_equal_policy_loses_full_capacity_hours_adaptive_keeps_them(island):
     hour = hour3_hour()
     run_eq = plan(island, [hour], policy="equal")
@@ -310,6 +353,31 @@ def test_plan_hour_matches_scenario_rebuilding_reference(hour, policy, step):
     got = plan_hour(island, hour, policy=policy, step_mw=step)
     want = _reference_plan_hour(island, hour, policy=policy, step_mw=step)
     assert _record_bytes(got) == _record_bytes(want)
+
+
+@given(st.lists(market_hours() | market_hours(heavy=True), max_size=4),
+       st.sampled_from(["equal", "adaptive"]), st.sampled_from([50.0, 137.5]))
+@settings(max_examples=50, deadline=None)
+def test_plan_matches_the_per_hour_reference(hours, policy, step):
+    island = fixtures.island_scenario()
+    got = plan(island, hours, policy=policy, step_mw=step).records
+    want = [_reference_plan_hour(island, hour, policy=policy, step_mw=step)
+            for hour in sorted(hours, key=lambda h: h.hour)]
+    assert [_record_bytes(r) for r in got] == [_record_bytes(r) for r in want]
+
+
+@pytest.mark.parametrize("policy", ["equal", "adaptive"])
+@pytest.mark.parametrize("step", [50.0, 137.5])
+def test_plan_over_secure_and_insecure_first_clearings_matches_the_reference(policy, step):
+    island = fixtures.island_scenario()
+    hours = fixtures.year_hours(n_hours=48, seed=20300)[::-1]
+    got = plan(island, hours, policy=policy, step_mw=step).records
+    want = [_reference_plan_hour(island, hour, policy=policy, step_mw=step)
+            for hour in sorted(hours, key=lambda h: h.hour)]
+    assert [_record_bytes(r) for r in got] == [_record_bytes(r) for r in want]
+    # under equal gains an hour needs a reduction iff its first clearing is insecure
+    iterations = [r.iterations for r in plan(island, hours, policy="equal").records]
+    assert 0 < iterations.count(0) < len(iterations)
 
 
 # year hours whose B&B gains are unequal; 78 and 173 need 6 and 7 reductions.

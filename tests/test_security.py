@@ -211,6 +211,42 @@ def test_post_fault_excess_flags_exactly_the_screened_violations(data):
     assert {scen.ids[i] for i in columns} == {cid for _, cid, _ in screened}
 
 
+@st.composite
+def stacked_set_points(draw):
+    """(x, p_ref, p_max) with p_ref of shape (H, n), H in 0..4; x is either
+    one (n,) vector shared by every row or stacked as (H, n) too."""
+    n, h = draw(st.integers(2, 7)), draw(st.integers(0, 4))
+    rows = lambda values: st.lists(st.lists(values, min_size=n, max_size=n),
+                                   min_size=h, max_size=h)
+    p_ref = np.array(draw(rows(st.floats(-1.0, 1.0) | st.sampled_from([0.0, 0.95]))),
+                     dtype=float).reshape(h, n)
+    gains = st.floats(1e-3, 1e4)
+    if draw(st.booleans()):
+        x = np.array(draw(st.lists(gains, min_size=n, max_size=n)))
+    else:
+        x = np.array(draw(rows(gains)), dtype=float).reshape(h, n)
+    p_max = np.array(draw(st.lists(st.sampled_from([0.5, 0.95, 1.0]), min_size=n, max_size=n)))
+    return x, p_ref, p_max
+
+
+@given(stacked_set_points())
+@settings(max_examples=200, deadline=None)
+def test_stacked_post_fault_excess_matches_the_per_row_calls_bit_for_bit(data):
+    x, p_ref, p_max = data
+    alpha = float(x.sum(axis=-1).max()) if x.size else 1.0
+    delta, flows = post_fault_sharing(x, p_ref, alpha)
+    excess = post_fault_excess(x, p_ref, p_max, alpha)
+    h, n = p_ref.shape
+    assert delta.shape == (h, n) and flows.shape == excess.shape == (h, n, n)
+    for row in range(h):
+        x_row = x if x.ndim == 1 else x[row]
+        row_delta, row_flows = post_fault_sharing(x_row, p_ref[row], alpha)
+        assert delta[row].tobytes() == row_delta.tobytes()
+        assert flows[row].tobytes() == row_flows.tobytes()
+        assert excess[row].tobytes() == post_fault_excess(x_row, p_ref[row], p_max,
+                                                          alpha).tobytes()
+
+
 @given(st.integers(0, 2_000), st.floats(0.1, 5.0))
 @settings(max_examples=40, deadline=None)
 def test_scale_covariance(seed, factor):
