@@ -36,6 +36,8 @@ import numpy as np
 
 from . import fixtures
 from .core import (
+    DEFAULT_P_MAX,
+    DEFAULT_X_MIN,
     Converter,
     DroopAssignment,
     GridScenario,
@@ -45,6 +47,8 @@ from .core import (
     validate_scenario,
 )
 from .droop_opt import (
+    DEFAULT_ALPHA,
+    DEFAULT_PSI,
     DroopSolution,
     SolverError,
     StiffnessError,
@@ -52,6 +56,8 @@ from .droop_opt import (
     solve_problem,
 )
 from .dynamics import (
+    DEFAULT_DT,
+    DEFAULT_TAU,
     ConverterOutage,
     SimulationDiverged,
     UnstableModelError,
@@ -63,7 +69,7 @@ from .dynamics import (
     simulate,
     trajectory_to_csv,
 )
-from .market import HourScenario, duration_curves, plan
+from .market import DEFAULT_STEP_MW, HourScenario, duration_curves, plan
 from .security import reports_to_csv, screen_all_contingencies
 
 EXIT_OK = 0
@@ -161,8 +167,8 @@ def grid_from_json(data: dict) -> GridScenario:
             id=_field(c, "id", _ID, at=at),
             rating_mva=_field(c, "rating_mva", at=at),
             p_ref=_field(c, "p_ref_mw", at=at) / base.s_base_mva,
-            p_max=_field(c, "p_max_pu", at=at, default=0.95),
-            x_min=_field(c, "x_min", at=at, default=10.0),
+            p_max=_field(c, "p_max_pu", at=at, default=DEFAULT_P_MAX),
+            x_min=_field(c, "x_min", at=at, default=DEFAULT_X_MIN),
         ))
     wind = []
     for j, w in enumerate(_field(data, "wind", _OBJECTS, default=[])):
@@ -180,8 +186,17 @@ def grid_from_json(data: dict) -> GridScenario:
     return GridScenario(base=base, converters=converters, wind_injections=wind, network=graph)
 
 
+def _load_json(path: str | Path, file: str):
+    """The JSON document in ``path``; ``file`` names its kind in the error when it
+    nests too deeply for the parser."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ScenarioError(f"{file} file {path} nests too deeply to parse") from None
+
+
 def load_grid(path: str | Path) -> GridScenario:
-    scenario = grid_from_json(json.loads(Path(path).read_text()))
+    scenario = grid_from_json(_load_json(path, "grid"))
     report = validate_scenario(scenario)
     report.raise_if_invalid()
     return scenario
@@ -234,7 +249,7 @@ def droops_to_json(solution: DroopSolution, ids: tuple[str, ...]) -> dict:
 
 
 def load_droops(path: str | Path, scenario: GridScenario) -> DroopAssignment:
-    data = json.loads(Path(path).read_text())
+    data = _load_json(path, "droops")
     x = _field(data, "x", _NUMBERS, file="droops", default=None)
     if x is None:
         status = _field(data, "status", ("a string", str), file="droops", default=None)
@@ -430,17 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, droops=True):
+    def add_common(p):
         p.add_argument("--grid", required=True, help="grid scenario JSON")
-        if droops:
-            p.add_argument("--droops", help="droops JSON from solve-droops")
-            p.add_argument("--alpha", type=float, default=600.0,
-                           help="stiffness for the equal fallback when --droops is absent")
+        p.add_argument("--droops", help="droops JSON from solve-droops")
+        p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                       help="stiffness for the equal fallback when --droops is absent")
 
     p = sub.add_parser("solve-droops", help="optimize the inverse droop gains")
     p.add_argument("--grid", required=True)
-    p.add_argument("--alpha", type=float, default=600.0)
-    p.add_argument("--precision", type=int, default=-3, help="digit grid exponent psi")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--precision", type=int, default=DEFAULT_PSI, help="digit grid exponent psi")
     p.add_argument("--backend", default="oracle", choices=["oracle", "bnb", "highs"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve_droops)
@@ -452,14 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("h2", help="H2 performance of the reduced model")
     add_common(p)
-    p.add_argument("--tau", type=float, default=0.02)
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_h2)
 
     p = sub.add_parser("simulate", help="time-domain simulation of events")
     add_common(p)
-    p.add_argument("--tau", type=float, default=0.02)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    p.add_argument("--dt", type=float, default=DEFAULT_DT)
     p.add_argument("--t-end", type=float, default=2.0)
     p.add_argument("--event", action="append",
                    help="outage:<id>@<t_s> or wind:<node>:<mw>@<t_s>; repeatable")
@@ -470,9 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True)
     p.add_argument("--hours", required=True, help="hours CSV")
     p.add_argument("--policy", default="adaptive", choices=["equal", "adaptive"])
-    p.add_argument("--step-mw", type=float, default=50.0)
-    p.add_argument("--alpha", type=float, default=600.0)
-    p.add_argument("--precision", type=int, default=-3)
+    p.add_argument("--step-mw", type=float, default=DEFAULT_STEP_MW)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--precision", type=int, default=DEFAULT_PSI)
     p.add_argument("--backend", default="oracle", choices=["oracle", "bnb", "highs"])
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_market_loop)

@@ -290,8 +290,12 @@ class DroopAssignment:
         arr = np.array(np.atleast_1d(self.x), dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ScenarioError("x must be a non-empty vector")
-        if not np.all((arr > 0) & (arr < np.inf)):
+        smallest, largest = float(arr.min()), float(arr.max())  # a NaN propagates to both
+        if not (smallest > 0 and largest < math.inf):
             raise ScenarioError("inverse droop gains must be positive and finite")
+        if not 1.0 / smallest < math.inf:  # below about 5.6e-309
+            raise ScenarioError(f"inverse droop gain x={smallest!r} is too small: "
+                                "its droop gain 1/x overflows")
         arr.setflags(write=False)
         object.__setattr__(self, "x", arr)
 

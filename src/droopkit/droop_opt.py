@@ -720,16 +720,7 @@ def _solve_bnb(problem: DroopProblem, node_limit: int = 200_000) -> DroopSolutio
         return DroopSolution("infeasible", None, None, 0.0, backend="bnb",
                              note=f"some gain's bounds hold no point of the 10^{problem.psi} grid")
 
-    lp = _exact_lp(problem)  # every node shares it and overwrites only the gain bounds
-    col_lo, col_hi = lp[-2:]
-
-    def solve_node(lo, hi):
-        col_lo[:n], col_hi[:n] = lo, hi
-        res = _highs_lp(*lp, what="B&B node LP")
-        if res is None:
-            return None, np.inf
-        return res[0][:n], res[1]
-
+    # best_obj is inf until the first candidate, so no test below needs best_x
     best_x: np.ndarray | None = None
     best_obj = np.inf
 
@@ -738,9 +729,7 @@ def _solve_bnb(problem: DroopProblem, node_limit: int = 200_000) -> DroopSolutio
         if cand is None:
             return
         obj = pair_distance(cand)
-        if obj < best_obj - 1e-9 or (
-            abs(obj - best_obj) <= 1e-9 and best_x is not None and _lex_smaller(cand, best_x)
-        ):
+        if obj < best_obj - 1e-9 or (abs(obj - best_obj) <= 1e-9 and _lex_smaller(cand, best_x)):
             best_x, best_obj = cand.copy(), obj
 
     # seed the incumbent from the continuous optimum
@@ -749,23 +738,25 @@ def _solve_bnb(problem: DroopProblem, node_limit: int = 200_000) -> DroopSolutio
         return replace(oracle, backend="bnb")
     offer(_repair_to_grid(oracle.assignment.x, problem, xlo0, xup0))
 
+    lp = _exact_lp(problem)  # every node shares it and overwrites only the gain bounds
+    col_lo, col_hi = lp[-2:]
     prune_margin = q * (1.0 - 1e-6)
     stack = [(xlo0, xup0, -np.inf)]
     nodes = 0
     while stack:
         lo, hi, inherited = stack.pop()
-        if best_x is not None and inherited >= best_obj - prune_margin:
+        if inherited >= best_obj - prune_margin:
             continue
         nodes += 1
         if nodes > node_limit:
             raise SolverError(f"branch and bound exceeded {node_limit} nodes")
-        x_rel, bound = solve_node(lo, hi)
-        if x_rel is None:
+        col_lo[:n], col_hi[:n] = lo, hi
+        res = _highs_lp(*lp, what="B&B node LP")
+        if res is None or res[1] >= best_obj - prune_margin:
             continue
-        if best_x is not None and bound >= best_obj - prune_margin:
-            continue
+        x_rel, bound = res[0][:n], res[1]
         offer(_repair_to_grid(x_rel, problem, xlo0, xup0))
-        if best_x is not None and bound >= best_obj - prune_margin:
+        if bound >= best_obj - prune_margin:
             continue
         frac = np.abs(x_rel / q - np.round(x_rel / q))
         j = int(np.argmax(frac))
@@ -788,10 +779,6 @@ def _solve_bnb(problem: DroopProblem, node_limit: int = 200_000) -> DroopSolutio
             stack.extend([up, down])
         else:
             stack.extend([down, up])
-        if best_x is not None and stack:
-            glb = min(b for _, _, b in stack)
-            if glb >= best_obj - prune_margin:
-                break
 
     if best_x is None:
         return DroopSolution("infeasible", None, None, 0.0, backend="bnb", note=(

@@ -372,7 +372,8 @@ def simulate(
     A wind step changes the corresponding injection; an outage removes the
     converter's states, turns its node passive (the network is re-reduced),
     and leaves the stranded set-point as a persistent imbalance.  The final
-    steady state therefore matches the closed-form post-fault sharing.
+    steady state therefore matches the closed-form post-fault sharing.  Every
+    event is checked, in time order, before the first step.
     """
     if model.scenario is None or model.assignment is None:
         raise ScenarioError("simulation needs a model built by assemble_model")
@@ -398,6 +399,21 @@ def simulate(
                 f"event at t={ev.time:.12g}s is off the dt={dt:g}s step grid; the nearest "
                 f"grid times are {math.floor(steps) * dt:.12g}s and {math.ceil(steps) * dt:.12g}s"
             )
+    ordered = sorted(events, key=lambda e: (e.time, isinstance(e, WindStep)))
+    wind_nodes = {node for node, _ in model.scenario.wind_injections}
+    tripped: set[str] = set()
+    for ev in ordered:
+        if isinstance(ev, WindStep):
+            if ev.node not in wind_nodes:
+                raise ScenarioError(f"wind step at unknown wind node {ev.node!r}")
+            continue
+        model.scenario.converter_index(ev.converter_id)  # raises on an unknown id
+        if ev.converter_id in tripped:
+            raise ScenarioError(f"outage at t={ev.time:g}s of converter "
+                                f"{ev.converter_id!r}, which is already tripped")
+        tripped.add(ev.converter_id)
+        if n_all - len(tripped) < 2:
+            raise ScenarioError("cannot simulate an outage below 2 converters")
 
     all_ids = model.scenario.ids
     times = np.arange(n_steps + 1) * dt
@@ -408,7 +424,6 @@ def simulate(
     wind = np.array([p for _, p in model.scenario.wind_injections], dtype=float)
     state = _equilibrium(cur, wind)
 
-    ordered = sorted(events, key=lambda e: (e.time, isinstance(e, WindStep)))
     breakpoints = [(int(round(e.time / dt)), e) for e in ordered]
     breakpoints.append((n_steps, None))
 
@@ -453,14 +468,9 @@ def simulate(
         if event is None:
             break
         if isinstance(event, WindStep):
-            hits = [j for j, (node, _) in enumerate(scen.wind_injections) if node == event.node]
-            if not hits:
-                raise ScenarioError(f"wind step at unknown wind node {event.node!r}")
-            wind[hits[0]] += event.delta_pu
+            wind[[node for node, _ in scen.wind_injections].index(event.node)] += event.delta_pu
         else:
             gone = scen.converter_index(event.converter_id)
-            if scen.n - 1 < 2:
-                raise ScenarioError("cannot simulate an outage below 2 converters")
             keep = [i for i in range(scen.n) if i != gone]
             survivors = dataclasses.replace(
                 scen, converters=tuple(scen.converters[i] for i in keep)

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import DroopAssignment, GridScenario, ScenarioError, _readonly
-from .droop_opt import DroopProblem, solve_problem
+from .droop_opt import DEFAULT_ALPHA, DEFAULT_PSI, DroopProblem, solve_problem
 from .security import VIOLATION_TOL, post_fault_excess
 from .security import screen_all_contingencies  # noqa: F401  (patched by the benchmark tracer)
 
@@ -174,9 +174,9 @@ def plan_hour(
     hour: HourScenario,
     policy: str = "adaptive",
     step_mw: float = DEFAULT_STEP_MW,
-    alpha: float = 600.0,
+    alpha: float = DEFAULT_ALPHA,
     backend: str = "oracle",
-    psi: int = -3,
+    psi: int = DEFAULT_PSI,
 ) -> HourRecord:
     """Clear, check and reduce one hour until it is N-1 secure.
 
@@ -258,9 +258,9 @@ def plan(
     hours: list[HourScenario],
     policy: str = "adaptive",
     step_mw: float = DEFAULT_STEP_MW,
-    alpha: float = 600.0,
+    alpha: float = DEFAULT_ALPHA,
     backend: str = "oracle",
-    psi: int = -3,
+    psi: int = DEFAULT_PSI,
 ) -> PlanningRun:
     """Plan every hour independently; records are ordered by hour index."""
     _check_step_mw(step_mw)

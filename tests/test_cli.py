@@ -267,6 +267,19 @@ def test_simulate_off_grid_event_exits_one(grid_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("events, message", [
+    (["wind:NOPE:10@99.9"], "wind step at unknown wind node 'NOPE'"),
+    (["outage:UK@1", "outage:UK@99.9"], "outage at t=99.9s of converter 'UK', which is already"),
+])
+def test_simulate_bad_late_event_exits_one(grid_file, tmp_path, capsys, events, message):
+    out = tmp_path / "traj.csv"
+    argv = ["simulate", "--grid", str(grid_file), "--dt", "1e-4", "--t-end", "100",
+            "--out", str(out)]
+    rc = main(argv + [f"--event={spec}" for spec in events])
+    _assert_one_line_usage_error(rc, capsys, message)
+    assert not out.exists()
+
+
 # each would overflow int(), exceed numpy's size limit or exhaust memory if not rejected first
 @pytest.mark.parametrize("dt, t_end, steps", [("5e-324", "2", "inf"), ("1e-300", "2", "2e+300"),
                                               ("1e-9", "1", "1e+09")])
@@ -322,6 +335,37 @@ def test_check_n1_non_finite_gains_exit_one(grid_file, tmp_path, capsys):
     droops.write_text(json.dumps({"x": [100.0] * 5 + [float("inf")]}))
     rc = main(["check-n1", "--grid", str(grid_file), "--droops", str(droops), "--out", str(out)])
     _assert_one_line_usage_error(rc, capsys, "positive and finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check-n1", "h2"])
+def test_gain_with_infinite_droop_gain_exits_one_naming_it(grid_file, tmp_path, capsys, recwarn,
+                                                           command):
+    # 1e-320 / 6 is positive and finite, but its reciprocal overflows to inf
+    out = tmp_path / "out"
+    rc = main([command, "--grid", str(grid_file), "--alpha", "1e-320", "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, "inverse droop gain x=1.665e-321 is too small",
+                                 "1/x overflows")
+    droops = tmp_path / "droops.json"
+    droops.write_text(json.dumps({"x": [100.0] * 5 + [1e-320]}))
+    rc = main([command, "--grid", str(grid_file), "--droops", str(droops), "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, "inverse droop gain x=1e-320 is too small")
+    assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("file", ["grid", "droops"])
+def test_deeply_nested_json_exits_one_naming_the_file(grid_file, tmp_path, capsys, file):
+    depth = 50 * sys.getrecursionlimit()
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * depth + "]" * depth)
+    out = tmp_path / "n1.csv"
+    paths = {"grid": deep, "droops": None} if file == "grid" else {"grid": grid_file, "droops": deep}
+    argv = ["check-n1", "--grid", str(paths["grid"]), "--out", str(out)]
+    if paths["droops"] is not None:
+        argv += ["--droops", str(paths["droops"])]
+    rc = main(argv)
+    _assert_one_line_usage_error(rc, capsys, f"{file} file {deep} nests too deeply to parse")
     assert not out.exists()
 
 

@@ -83,6 +83,15 @@ def test_assignment_derived_fields():
         DroopAssignment(np.array([1.0, -2.0]))
 
 
+@pytest.mark.parametrize("tiny", [5e-324, 1e-320, 5.5e-309])
+def test_assignment_rejects_gain_whose_droop_gain_overflows(tiny):
+    with pytest.raises(ScenarioError, match=f"x={tiny!r} is too small: its droop gain 1/x"):
+        DroopAssignment(np.array([100.0, tiny]))
+    # the smallest normal double still has a finite reciprocal
+    small = DroopAssignment(np.array([100.0, 2.2250738585072014e-308]))
+    assert np.isfinite(small.k_f).all()
+
+
 def test_core_types_immutable(island):
     with pytest.raises(dataclasses.FrozenInstanceError):
         island.base.s_base_mva = 1.0

@@ -1,10 +1,12 @@
 import hashlib
+import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from droopkit import droop_opt
@@ -13,8 +15,14 @@ from droopkit.droop_opt import (
     _FEAS_TOL,
     DroopProblem,
     DroopSolution,
+    SolverError,
     StiffnessError,
     _exact_lp,
+    _feasible_on_grid,
+    _grid_ok,
+    _highs_lp,
+    _lex_smaller,
+    _repair_to_grid,
     _tightened_bounds,
     build_exact_problem,
     build_milp,
@@ -418,6 +426,168 @@ def test_lp_stopped_short_raises_solver_error_naming_status(monkeypatch, backend
 def test_bnb_node_limit_raises_solver_error():
     with pytest.raises(droop_opt.SolverError, match="branch and bound exceeded 1 nodes"):
         solve_problem(DroopProblem(**ANALYTIC), backend="bnb", node_limit=1)
+
+
+# A frozen copy of ``_solve_bnb`` as it stood before its dead code went: the
+# global-bound scan after branching, the ``best_x is not None`` guards and the
+# ``solve_node`` closure.  It calls the module's helpers, so the properties
+# below compare only the search loop.  A rewrite of the search (warm-started
+# nodes, another node order) must keep them passing or say which bytes move.
+def _reference_bnb(problem: DroopProblem, node_limit: int = 200_000) -> DroopSolution:
+    """Built-in branch and bound over the gain grid.
+
+    Nodes relax the problem to the exact LP restricted to a grid-aligned box
+    per gain; branching splits the most fractional gain (in grid units) and
+    candidates are verified against the exact limits in closed form, which is
+    equivalent to an integral digit selection.  Distinct grid objectives
+    differ by at least one grid quantum, so a bound within one quantum of the
+    incumbent proves optimality.
+    """
+    q = 10.0**problem.psi
+    if not _grid_ok(problem):
+        note = f"alpha={problem.alpha:.12g} is not representable on the 10^{problem.psi} grid"
+        return DroopSolution("infeasible", None, None, 0.0, backend="bnb", note=note)
+
+    n = problem.n
+    xlo0 = np.ceil((problem.x_min - 1e-9) / q) * q
+    xup0 = np.floor((problem.x_upper + 1e-9) / q) * q
+    if np.any(xlo0 > xup0 + 1e-12):
+        return DroopSolution("infeasible", None, None, 0.0, backend="bnb",
+                             note=f"some gain's bounds hold no point of the 10^{problem.psi} grid")
+
+    lp = _exact_lp(problem)  # every node shares it and overwrites only the gain bounds
+    col_lo, col_hi = lp[-2:]
+
+    def solve_node(lo, hi):
+        col_lo[:n], col_hi[:n] = lo, hi
+        res = _highs_lp(*lp, what="B&B node LP")
+        if res is None:
+            return None, np.inf
+        return res[0][:n], res[1]
+
+    best_x: np.ndarray | None = None
+    best_obj = np.inf
+
+    def offer(cand: np.ndarray | None):
+        nonlocal best_x, best_obj
+        if cand is None:
+            return
+        obj = pair_distance(cand)
+        if obj < best_obj - 1e-9 or (
+            abs(obj - best_obj) <= 1e-9 and best_x is not None and _lex_smaller(cand, best_x)
+        ):
+            best_x, best_obj = cand.copy(), obj
+
+    # seed the incumbent from the continuous optimum
+    oracle = solve_exact_oracle(problem, tie_break=False)
+    if oracle.status == "infeasible":
+        return replace(oracle, backend="bnb")
+    offer(_repair_to_grid(oracle.assignment.x, problem, xlo0, xup0))
+
+    prune_margin = q * (1.0 - 1e-6)
+    stack = [(xlo0, xup0, -np.inf)]
+    nodes = 0
+    while stack:
+        lo, hi, inherited = stack.pop()
+        if best_x is not None and inherited >= best_obj - prune_margin:
+            continue
+        nodes += 1
+        if nodes > node_limit:
+            raise SolverError(f"branch and bound exceeded {node_limit} nodes")
+        x_rel, bound = solve_node(lo, hi)
+        if x_rel is None:
+            continue
+        if best_x is not None and bound >= best_obj - prune_margin:
+            continue
+        offer(_repair_to_grid(x_rel, problem, xlo0, xup0))
+        if best_x is not None and bound >= best_obj - prune_margin:
+            continue
+        frac = np.abs(x_rel / q - np.round(x_rel / q))
+        j = int(np.argmax(frac))
+        if frac[j] <= 1e-6:
+            snapped = np.round(x_rel / q) * q
+            if _feasible_on_grid(snapped, problem, lo, hi):
+                offer(snapped)
+            else:
+                offer(_repair_to_grid(snapped, problem, xlo0, xup0))
+            continue
+        floor_j = math.floor(x_rel[j] / q) * q
+        lo_hi = hi.copy()
+        lo_hi[j] = floor_j
+        hi_lo = lo.copy()
+        hi_lo[j] = floor_j + q
+        down = (lo, lo_hi, bound)
+        up = (hi_lo, hi, bound)
+        # explore the side nearer the relaxation first
+        if x_rel[j] - floor_j <= 0.5 * q:
+            stack.extend([up, down])
+        else:
+            stack.extend([down, up])
+        if best_x is not None and stack:
+            glb = min(b for _, _, b in stack)
+            if glb >= best_obj - prune_margin:
+                break
+
+    if best_x is None:
+        return DroopSolution("infeasible", None, None, 0.0, backend="bnb", note=(
+            f"no point of the 10^{problem.psi} grid keeps every post-fault flow within p_max"))
+    return DroopSolution(
+        status="optimal",
+        assignment=DroopAssignment(best_x),
+        objective=best_obj,
+        residual=exact_residual(best_x, problem),
+        backend="bnb",
+        note=f"nodes={nodes}",
+    )
+
+
+def _bnb_outcome(solve, prob: DroopProblem, node_limit: int):
+    try:
+        sol = solve(prob, node_limit=node_limit)
+    except SolverError as exc:
+        return "SolverError", str(exc)
+    x = None if sol.assignment is None else sol.assignment.x.tobytes()
+    return sol.status, sol.note, sol.objective, sol.residual, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    psi=st.sampled_from([-1, -2, -3, -4, -6, -8]),
+    alpha=st.sampled_from([100.0, 300.0, 450.0, 600.0]),
+    node_limit=st.one_of(st.integers(1, 8), st.just(200)),
+)
+def test_bnb_matches_frozen_reference_bytes(seed, n, psi, alpha, node_limit):
+    """B&B gives the frozen reference's status, note, objective, residual and gain bytes,
+    or raises the same ``SolverError`` message."""
+    # C2-style set-points, a few of them zero; p_max = |p_ref| leaves a converter no
+    # headroom, and gains pinned near alpha/n are often infeasible
+    rng = np.random.default_rng(seed)
+    p_ref = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(-0.3, 0.92, n))
+    p_max = np.where((rng.random(n) < 0.1) & (p_ref != 0.0), np.abs(p_ref), 0.95)
+    x_min = np.full(n, 0.999 * alpha / n if rng.random() < 0.1 else 10.0)
+    prob = DroopProblem(alpha=alpha, x_min=x_min, p_ref=p_ref, p_max=p_max, psi=psi)
+    got = _bnb_outcome(droop_opt._solve_bnb, prob, node_limit)
+    event(got[0] if got[0] != "optimal" else
+          "optimal at the root" if got[1] == "nodes=1" else "optimal below the root")
+    assert got == _bnb_outcome(_reference_bnb, prob, node_limit)
+
+
+@pytest.mark.parametrize("kwargs, node_limit, status, note", [
+    (ANALYTIC, 200_000, "optimal", "nodes=5"),
+    (ANALYTIC, 1, "SolverError", "branch and bound exceeded 1 nodes"),
+    ({**ANALYTIC, "p_max": np.array([0.9, 0.5, 0.1])}, 200_000, "infeasible",
+     "no gains summing to alpha=300 keep every post-fault flow within p_max"),
+    ({**ANALYTIC, "alpha": 300.0005}, 200_000, "infeasible",
+     "alpha=300.0005 is not representable on the 10^-3 grid"),
+])
+def test_bnb_matches_frozen_reference_on_each_exit(kwargs, node_limit, status, note):
+    """A search below the root, a node-limit hit and two infeasible exits, by name."""
+    prob = DroopProblem(**kwargs)
+    got = _bnb_outcome(droop_opt._solve_bnb, prob, node_limit)
+    assert got[:2] == (status, note)
+    assert got == _bnb_outcome(_reference_bnb, prob, node_limit)
 
 
 def test_zero_loading_equal_split_both_paths():

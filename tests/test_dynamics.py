@@ -433,6 +433,24 @@ def test_event_validation(island, equal600):
         simulate(red, [], t_end=1.0)
 
 
+@pytest.mark.parametrize("events, message", [
+    ([WindStep(time=0.9, node="NOPE", delta_pu=0.1)], "unknown wind node 'NOPE'"),
+    ([ConverterOutage(time=0.9, converter_id="NOPE")], "unknown converter id 'NOPE'"),
+    ([ConverterOutage(time=0.9, converter_id="UK"), ConverterOutage(time=0.1, converter_id="UK")],
+     "outage at t=0.9s of converter 'UK', which is already tripped"),
+    ([ConverterOutage(time=0.1 * (j + 1), converter_id=cid)
+      for j, cid in enumerate(fixtures.COUNTRIES[:5])], "outage below 2 converters"),
+])
+def test_bad_event_rejected_before_the_first_step(island, equal600, monkeypatch, events, message):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("simulate started stepping")
+
+    monkeypatch.setattr(dynamics, "_rk4_step_matrices", no_stepping)
+    model = assemble_model(island, equal600, 0.02)
+    with pytest.raises(ScenarioError, match=message):
+        simulate(model, events, dt=1e-3, t_end=1.0)
+
+
 def test_trajectory_csv_layout(island, equal600):
     model = assemble_model(island, equal600, 0.02)
     traj = simulate(model, [ConverterOutage(time=0.1, converter_id="UK")], dt=1e-2, t_end=0.2)
