@@ -36,6 +36,8 @@ import numpy as np
 
 from . import fixtures
 from .core import (
+    DEFAULT_F_NOM_HZ,
+    DEFAULT_OMEGA_REF,
     DEFAULT_P_MAX,
     DEFAULT_X_MIN,
     Converter,
@@ -57,6 +59,7 @@ from .droop_opt import (
 )
 from .dynamics import (
     DEFAULT_DT,
+    DEFAULT_T_END,
     DEFAULT_TAU,
     ConverterOutage,
     SimulationDiverged,
@@ -157,8 +160,8 @@ def grid_from_json(data: dict) -> GridScenario:
     base_doc = _field(data, "base", _OBJECT)
     base = SystemBase(
         s_base_mva=_field(base_doc, "s_base_mva", at="base"),
-        f_nom_hz=_field(base_doc, "f_nom_hz", at="base", default=50.0),
-        omega_ref=_field(base_doc, "omega_ref", at="base", default=1.0),
+        f_nom_hz=_field(base_doc, "f_nom_hz", at="base", default=DEFAULT_F_NOM_HZ),
+        omega_ref=_field(base_doc, "omega_ref", at="base", default=DEFAULT_OMEGA_REF),
     )
     converters = []
     for j, c in enumerate(_field(data, "converters", _OBJECTS)):
@@ -474,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p.add_argument("--dt", type=float, default=DEFAULT_DT)
-    p.add_argument("--t-end", type=float, default=2.0)
+    p.add_argument("--t-end", type=float, default=DEFAULT_T_END)
     p.add_argument("--event", action="append",
                    help="outage:<id>@<t_s> or wind:<node>:<mw>@<t_s>; repeatable")
     p.add_argument("--out", required=True)

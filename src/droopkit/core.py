@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+DEFAULT_F_NOM_HZ = 50.0
+DEFAULT_OMEGA_REF = 1.0
 DEFAULT_P_MAX = 0.95
 DEFAULT_X_MIN = 10.0
 DEFAULT_STAR_SUSCEPTANCE = 10.0
@@ -40,8 +42,8 @@ class SystemBase:
     """Apparent-power and frequency base of the island system."""
 
     s_base_mva: float
-    f_nom_hz: float = 50.0
-    omega_ref: float = 1.0
+    f_nom_hz: float = DEFAULT_F_NOM_HZ
+    omega_ref: float = DEFAULT_OMEGA_REF
 
     def __post_init__(self) -> None:
         if self.s_base_mva <= 0:

@@ -129,6 +129,16 @@ def exact_residual(x: np.ndarray, problem: DroopProblem) -> float:
     return max(float(excess.max()), 0.0)  # in this order a NaN excess stays NaN
 
 
+def equal_gains_test(alpha: float, x_min: np.ndarray, p_ref: np.ndarray, p_max: np.ndarray):
+    """The oracle's test of the gains ``alpha/n`` at set-points ``p_ref`` stacked on leading
+    axes, as ``(alpha/n, ok, residual)``: ``ok`` where they are within the bounds and their
+    ``exact_residual`` at ``alpha`` (the 0.0 diagonal floors the maximum) is at most
+    ``_FEAS_TOL``; a NaN residual fails."""
+    equal = np.full(x_min.size, alpha / x_min.size)
+    residual = post_fault_excess(equal, p_ref, p_max, alpha).max(axis=(-2, -1))
+    return equal, np.all(equal >= x_min - 1e-12) & (residual <= _FEAS_TOL), residual
+
+
 @dataclass(frozen=True, slots=True)
 class DroopSolution:
     """Outcome of a gain-selection solve."""
@@ -291,11 +301,11 @@ def solve_exact_oracle(problem: DroopProblem, tie_break: bool = True) -> DroopSo
     and symmetric instances yield one reproducible vertex.
     """
     n = problem.n
-    equal = np.full(n, problem.alpha / n)
-    if np.all(equal >= problem.x_min - 1e-12):
-        residual = exact_residual(equal, problem)
-        if residual <= _FEAS_TOL:
-            return DroopSolution("optimal", DroopAssignment(equal), 0.0, residual, backend="oracle")
+    equal, ok, residual = equal_gains_test(problem.alpha, problem.x_min, problem.p_ref,
+                                           problem.p_max)
+    if ok:
+        return DroopSolution("optimal", DroopAssignment(equal), 0.0, float(residual),
+                             backend="oracle")
 
     lp = _exact_lp(problem)
     first = _highs_lp(*lp, what="oracle LP")
@@ -833,6 +843,12 @@ def _solve_highs(problem: DroopProblem) -> DroopSolution:
     )
 
 
+def check_backend(backend: str) -> None:
+    """Raise ``solve_problem``'s error for a backend it does not know."""
+    if backend not in ("oracle", "bnb", "highs"):
+        raise ValueError(f"unknown backend {backend!r} (expected 'oracle', 'bnb' or 'highs')")
+
+
 def solve_problem(problem: DroopProblem, backend: str = "oracle", **options) -> DroopSolution:
     """Solve ``problem`` with one backend: the oracle LP by default, "bnb" or "highs".
 
@@ -841,14 +857,10 @@ def solve_problem(problem: DroopProblem, backend: str = "oracle", **options) -> 
     the digit precision should allow, in which case the caller should lower
     psi.
     """
+    check_backend(backend)
     if backend == "oracle":
         return solve_exact_oracle(problem, **options)
-    if backend == "bnb":
-        sol = _solve_bnb(problem, **options)
-    elif backend == "highs":
-        sol = _solve_highs(problem, **options)
-    else:
-        raise ValueError(f"unknown backend {backend!r} (expected 'oracle', 'bnb' or 'highs')")
+    sol = (_solve_bnb if backend == "bnb" else _solve_highs)(problem, **options)
     if sol.status != "optimal":
         return sol
     tol = 10.0 * 10.0**problem.psi * float(np.max(np.abs(problem.p_ref), initial=0.0))

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .core import DroopAssignment, GridScenario, ScenarioError, kron_reduction
+from .core import DEFAULT_F_NOM_HZ, DroopAssignment, GridScenario, ScenarioError, kron_reduction
 
 DEFAULT_TAU = 0.02
 DEFAULT_DT = 1e-3
+DEFAULT_T_END = 2.0
 
 _STABILITY_MARGIN = 1e-10
 _DIVERGENCE_LIMIT = 1e6
@@ -293,7 +294,7 @@ class Trajectory:
     freq_pu: np.ndarray
     p_pu: np.ndarray
     events: tuple[Event, ...]
-    f_nom_hz: float = 50.0
+    f_nom_hz: float = DEFAULT_F_NOM_HZ
 
     @property
     def freq_hz(self) -> np.ndarray:
@@ -365,7 +366,7 @@ def simulate(
     model: DynamicModel,
     events: list[Event] | tuple[Event, ...] = (),
     dt: float = DEFAULT_DT,
-    t_end: float = 2.0,
+    t_end: float = DEFAULT_T_END,
 ) -> Trajectory:
     """Integrate the model from equilibrium through the given events.
 

@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import DroopAssignment, GridScenario, ScenarioError, _readonly
-from .droop_opt import DEFAULT_ALPHA, DEFAULT_PSI, DroopProblem, solve_problem
+from .droop_opt import (DEFAULT_ALPHA, DEFAULT_PSI, DroopProblem, build_exact_problem,
+                        check_backend, equal_gains_test, solve_problem)
 from .security import VIOLATION_TOL, post_fault_excess
 from .security import screen_all_contingencies  # noqa: F401  (patched by the benchmark tracer)
 
@@ -52,8 +53,10 @@ class HourScenario:
         )
         if len(self.link_ids) != self.offered_mw.size or len(self.bids) != self.offered_mw.size:
             raise ScenarioError("link ids, capacities and bid curves must align")
-        if self.wind_mw < 0 or np.any(self.offered_mw < 0):
-            raise ScenarioError("wind and offered capacities must be non-negative")
+        for name, values in (("wind_mw", (self.wind_mw,)),
+                             ("offered_mw", self.offered_mw.tolist())):
+            if not all(0 <= v < math.inf for v in values):
+                raise ScenarioError(f"hour {self.hour}: {name} must be finite and non-negative")
 
     @cached_property
     def merit_order(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -196,20 +199,16 @@ def plan_hour(
     while True:
         flows = clear_market(hour, caps)
         p_ref = flows / s_base
-        status = "equal"
-        assignment: DroopAssignment | None = equal
+        status, x = "equal", equal.x
         if policy == "adaptive":
             sol = solve_problem(DroopProblem(float(alpha), x_min, p_ref, p_max, psi),
                                 backend=backend)
             status = sol.status
-            assignment = sol.assignment if sol.status == "optimal" else None
-
-        # an infeasible optimization falls back to the equal screen to find
-        # the converters that force the capacity reduction
-        x = (equal if assignment is None else assignment).x
+            # without gains, the equal screen finds the converters that force the reduction
+            x = sol.assignment.x if status == "optimal" else equal.x
         excess = post_fault_excess(x, p_ref, p_max, float(x.sum()))
         violated = (excess > VIOLATION_TOL).any(axis=0)
-        if assignment is None and not violated.any():
+        if status not in ("equal", "optimal") and not violated.any():
             violated[np.argmax(np.abs(flows))] = True
 
         if not violated.any():
@@ -225,34 +224,6 @@ def plan_hour(
         caps[violated] = np.maximum(0.0, caps[violated] - step_mw)
 
 
-def _plan_equal(template: GridScenario, hours: list[HourScenario], step_mw: float,
-                alpha: float, backend: str, psi: int) -> list[HourRecord]:
-    """``plan_hour`` under the equal policy for every hour, in the given order.
-
-    Every hour is cleared at its offered capacity and all of them are screened
-    as one stacked array; a secure hour needs no reduction and gets its record
-    here, the rest go through ``plan_hour``.
-    """
-    if not hours:
-        return []
-    usable = _usable_mw(template)
-    for i, hour in enumerate(hours):
-        _check_hour(template, hour, "equal", usable)
-        if i == 0:  # plan_hour checks the gains after its hour's own checks
-            x = _equal_gains(template, alpha).x
-    flows = [clear_market(hour) for hour in hours]
-    excess = post_fault_excess(x, np.array(flows) / template.base.s_base_mva,
-                               template.p_max, float(x.sum()))
-    secure = ~(excess > VIOLATION_TOL).any(axis=(1, 2))
-    return [
-        _record(template, hour, np.array(hour.offered_mw, dtype=float), f, 0, "equal", x)
-        if ok else
-        plan_hour(template, hour, policy="equal", step_mw=step_mw, alpha=alpha,
-                  backend=backend, psi=psi)
-        for hour, f, ok in zip(hours, flows, secure.tolist())
-    ]
-
-
 def plan(
     template: GridScenario,
     hours: list[HourScenario],
@@ -262,15 +233,36 @@ def plan(
     backend: str = "oracle",
     psi: int = DEFAULT_PSI,
 ) -> PlanningRun:
-    """Plan every hour independently; records are ordered by hour index."""
+    """``plan_hour`` for every hour, in hour order; an hour whose first clearing one stacked
+    screen finds secure at the equal gains needs no reduction and is recorded here."""
     _check_step_mw(step_mw)
     run = PlanningRun(policy=policy, alpha=alpha, step_mw=step_mw, link_ids=template.ids)
     ordered = sorted(hours, key=lambda h: h.hour)
-    if policy == "equal":
-        run.records = _plan_equal(template, ordered, step_mw, alpha, backend, psi)
-    else:
-        run.records = [plan_hour(template, hour, policy=policy, step_mw=step_mw, alpha=alpha,
-                                 backend=backend, psi=psi) for hour in ordered]
+    usable = _usable_mw(template)
+    for i, hour in enumerate(ordered):
+        _check_hour(template, hour, policy, usable)
+        if i == 0:  # what plan_hour raises for its first hour after that hour's own checks
+            x = _equal_gains(template, alpha).x
+            if policy == "adaptive":
+                build_exact_problem(template, alpha, psi)
+                check_backend(backend)
+    if not ordered:
+        return run
+    flows = [clear_market(hour) for hour in ordered]
+    p_ref = np.array(flows) / template.base.s_base_mva
+    excess = post_fault_excess(x, p_ref, template.p_max, float(x.sum()))
+    direct = ~(excess > VIOLATION_TOL).any(axis=(1, 2))
+    if policy == "adaptive":  # only where the oracle returns alpha/n: B&B and HiGHS may not
+        direct &= backend == "oracle" and equal_gains_test(
+            float(alpha), template.x_min, p_ref, template.p_max)[1]
+    status = "optimal" if policy == "adaptive" else "equal"
+    run.records = [
+        _record(template, hour, np.array(hour.offered_mw, dtype=float), f, 0, status, x)
+        if ok else
+        plan_hour(template, hour, policy=policy, step_mw=step_mw, alpha=alpha,
+                  backend=backend, psi=psi)
+        for hour, f, ok in zip(ordered, flows, direct.tolist())
+    ]
     return run
 
 
@@ -287,19 +279,15 @@ class DurationCurves:
 
 def duration_curves(run: PlanningRun) -> DurationCurves:
     """Rearrange the per-hour outcomes in descending order per link."""
-    caps = {cid: [] for cid in run.link_ids}
-    flows = {cid: [] for cid in run.link_ids}
-    full = {cid: 0 for cid in run.link_ids}
-    for rec in run.records:
-        for j, cid in enumerate(run.link_ids):
-            caps[cid].append(rec.capacity_mw[j])
-            flows[cid].append(rec.flow_mw[j])
-            if rec.capacity_mw[j] >= rec.offered_mw[j] - 1e-9:
-                full[cid] += 1
+    n = len(run.link_ids)
+    caps = np.array([rec.capacity_mw for rec in run.records]).reshape(-1, n)
+    flows = np.array([rec.flow_mw for rec in run.records]).reshape(-1, n)
+    offered = np.array([rec.offered_mw for rec in run.records]).reshape(-1, n)
+    full = (caps >= offered - 1e-9).sum(axis=0).tolist()
     return DurationCurves(
         link_ids=run.link_ids,
-        capacity_sorted={cid: np.sort(np.array(v))[::-1] for cid, v in caps.items()},
-        flow_sorted={cid: np.sort(np.array(v))[::-1] for cid, v in flows.items()},
-        hours_at_full=full,
+        capacity_sorted={cid: np.sort(caps[:, j])[::-1] for j, cid in enumerate(run.link_ids)},
+        flow_sorted={cid: np.sort(flows[:, j])[::-1] for j, cid in enumerate(run.link_ids)},
+        hours_at_full=dict(zip(run.link_ids, full)),
         total_curtailed_mwh=run.total_curtailed_mwh,
     )

@@ -27,6 +27,7 @@ from droopkit.droop_opt import (
     build_exact_problem,
     build_milp,
     digit_expansion,
+    equal_gains_test,
     exact_residual,
     pair_distance,
     solve_exact_oracle,
@@ -315,6 +316,25 @@ def test_oracle_skips_the_lp_exactly_when_equal_gains_are_secure(monkeypatch):
     # ANALYTIC's equal gains overload the 0.9 pu converter when the 0.5 pu one trips
     with pytest.raises(LinprogCalled):
         solve_exact_oracle(DroopProblem(**ANALYTIC))
+
+
+@pytest.mark.parametrize("alpha", [100.0, 600.0])
+def test_stacked_equal_gains_test_matches_one_row_at_a_time(alpha):
+    p_ref = np.random.default_rng(5).uniform(-0.3, 0.95, size=(3, 40, 6))
+    p_ref[0, 0, 2] = np.nan  # a NaN excess does not pass
+    x_min, p_max = np.full(6, 10.0), np.full(6, 0.95)
+    x, ok, residual = equal_gains_test(alpha, x_min, p_ref, p_max)
+    assert x.tobytes() == np.full(6, alpha / 6).tobytes()
+    assert ok.shape == residual.shape == (3, 40) and 0 < ok.sum() < ok.size - 1
+    assert not ok[0, 0] and math.isnan(residual[0, 0])
+    for row in np.ndindex(3, 40):
+        _, ok_row, residual_row = equal_gains_test(alpha, x_min, p_ref[row], p_max)
+        assert (ok_row, residual_row.tobytes()) == (ok[row], residual[row].tobytes())
+        if row != (0, 0):
+            problem = DroopProblem(alpha=alpha, x_min=x_min, p_ref=p_ref[row], p_max=p_max)
+            assert residual_row == exact_residual(x, problem)
+    # alpha/n below a bound passes nowhere
+    assert not equal_gains_test(alpha, np.full(6, alpha / 6 + 1e-9), p_ref, p_max)[1].any()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from droopkit import fixtures, market
 from droopkit.core import DroopAssignment, ScenarioError
-from droopkit.droop_opt import DroopSolution, build_exact_problem
+from droopkit.droop_opt import DroopSolution, build_exact_problem, equal_gains_test
 from droopkit.market import (
     BidSegment,
     HourRecord,
@@ -16,7 +16,8 @@ from droopkit.market import (
     plan,
     plan_hour,
 )
-from droopkit.security import is_secure, screen_all_contingencies
+from droopkit.security import (VIOLATION_TOL, is_secure, post_fault_excess,
+                               screen_all_contingencies)
 from tests.conftest import scenario_with_flows
 
 
@@ -36,6 +37,19 @@ def make_hour(offered, wind, hour=0, prices=None):
 # ---------------------------------------------------------------------------
 # clearing
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("wind, offered, name", [
+    (math.nan, [800.0] * 6, "wind_mw"),
+    (math.inf, [800.0] * 6, "wind_mw"),
+    (-1.0, [800.0] * 6, "wind_mw"),
+    (1000.0, [800.0, math.nan, 800.0], "offered_mw"),
+    (1000.0, [800.0, math.inf], "offered_mw"),
+    (1000.0, [-50.0, 800.0], "offered_mw"),
+])
+def test_hour_rejects_non_finite_or_negative_wind_and_capacity(wind, offered, name):
+    with pytest.raises(ScenarioError, match=f"^hour 0: {name} must be finite and non-negative$"):
+        make_hour(offered, wind)
 
 
 def test_zero_capacity_clears_to_zero():
@@ -191,7 +205,7 @@ def test_offered_capacity_above_usable_rating_rejected(island):
 
 def _per_hour_error(island, hours, **kwargs):
     """The message the loop of ``plan_hour`` calls over ``hours`` in hour order raises."""
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(ValueError) as info:
         for hour in sorted(hours, key=lambda h: h.hour):
             plan_hour(island, hour, **kwargs)
     return str(info.value)
@@ -207,10 +221,17 @@ _GOOD = make_hour([800.0] * 6, wind=1000.0, hour=0)
 _ABOVE_RATING = "offered capacity exceeds a converter's usable rating"
 _WRONG_LINKS = "hour links do not match scenario converters"
 _BELOW_X_MIN = "equal policy violates the gain lower bounds"
+_AT_X_MIN_SUM = ("stiffness target unreachable: alpha=60 does not exceed sum of gain lower "
+                 "bounds 60")
+_POSITIVE_PSI = "digit places must satisfy psi <= 0 <= eta"
+_MAGIC_BACKEND = "unknown backend 'magic' (expected 'oracle', 'bnb' or 'highs')"
+_LATER_ABOVE_RATING = [_GOOD, make_hour([1800.0] * 6, 5000.0, hour=5)]
 
 
-# list order differs from hour order: the first bad hour in hour order decides
-@pytest.mark.parametrize("hours, alpha, message", [
+# list order differs from hour order: the first bad hour in hour order decides.
+# ``options`` is alpha or a dict of keyword options, and ``message`` the message
+# or one per policy
+@pytest.mark.parametrize("hours, options, message", [
     ([_GOOD, make_hour([1800.0] * 6, 5000.0, hour=5), make_hour([1800.0] * 6, 5000.0, hour=3)],
      600.0, f"hour 3: {_ABOVE_RATING}"),
     ([_GOOD, _wrong_links_hour(5), make_hour([1800.0] * 6, 5000.0, hour=3)],
@@ -222,13 +243,25 @@ _BELOW_X_MIN = "equal policy violates the gain lower bounds"
     ([make_hour([1800.0] * 6, 5000.0, hour=4), _GOOD], 30.0, _BELOW_X_MIN),
     ([make_hour([1800.0] * 6, 5000.0, hour=4), _wrong_links_hour(7)], 30.0,
      f"hour 4: {_ABOVE_RATING}"),
+    # under "adaptive" the first hour's solve raises after that hour's checks and
+    # the gain bound, before the next hour's checks; "equal" never solves
+    (_LATER_ABOVE_RATING, {"alpha": 60.0},
+     {"equal": f"hour 5: {_ABOVE_RATING}", "adaptive": _AT_X_MIN_SUM}),
+    ([_GOOD, _wrong_links_hour(5)], {"psi": 1},
+     {"equal": _WRONG_LINKS, "adaptive": _POSITIVE_PSI}),
+    (_LATER_ABOVE_RATING, {"backend": "magic"},
+     {"equal": f"hour 5: {_ABOVE_RATING}", "adaptive": _MAGIC_BACKEND}),
+    ([make_hour([800.0] * 6, 1000.0, hour=9), make_hour([1800.0] * 6, 5000.0, hour=4)],
+     {"backend": "magic"}, f"hour 4: {_ABOVE_RATING}"),
 ])
 @pytest.mark.parametrize("policy", ["equal", "adaptive"])
-def test_plan_raises_the_per_hour_loops_error_for_the_first_bad_hour(island, hours, alpha,
+def test_plan_raises_the_per_hour_loops_error_for_the_first_bad_hour(island, hours, options,
                                                                      message, policy):
-    assert _per_hour_error(island, hours, policy=policy, alpha=alpha) == message
-    with pytest.raises(ScenarioError) as info:
-        plan(island, hours, policy=policy, alpha=alpha)
+    options = options if isinstance(options, dict) else {"alpha": options}
+    message = message[policy] if isinstance(message, dict) else message
+    assert _per_hour_error(island, hours, policy=policy, **options) == message
+    with pytest.raises(ValueError) as info:
+        plan(island, hours, policy=policy, **options)
     assert str(info.value) == message
 
 
@@ -355,13 +388,16 @@ def test_plan_hour_matches_scenario_rebuilding_reference(hour, policy, step):
     assert _record_bytes(got) == _record_bytes(want)
 
 
+# at alpha = 100 the six gains alpha/n sum to other than alpha: plan_hour's
+# screen takes that sum, the oracle's equal-gain test alpha itself
 @given(st.lists(market_hours() | market_hours(heavy=True), max_size=4),
-       st.sampled_from(["equal", "adaptive"]), st.sampled_from([50.0, 137.5]))
+       st.sampled_from(["equal", "adaptive"]), st.sampled_from([50.0, 137.5]),
+       st.sampled_from([600.0, 100.0]))
 @settings(max_examples=50, deadline=None)
-def test_plan_matches_the_per_hour_reference(hours, policy, step):
+def test_plan_matches_the_per_hour_reference(hours, policy, step, alpha):
     island = fixtures.island_scenario()
-    got = plan(island, hours, policy=policy, step_mw=step).records
-    want = [_reference_plan_hour(island, hour, policy=policy, step_mw=step)
+    got = plan(island, hours, policy=policy, step_mw=step, alpha=alpha).records
+    want = [_reference_plan_hour(island, hour, policy=policy, step_mw=step, alpha=alpha)
             for hour in sorted(hours, key=lambda h: h.hour)]
     assert [_record_bytes(r) for r in got] == [_record_bytes(r) for r in want]
 
@@ -389,6 +425,33 @@ def test_plan_hour_matches_reference_through_bnb(h):
     got = plan_hour(island, hour, backend="bnb")
     want = _reference_plan_hour(island, hour, backend="bnb")
     assert _record_bytes(got) == _record_bytes(want)
+
+
+def test_plan_through_bnb_never_takes_the_equal_gains_without_a_solve():
+    # at alpha = 100 B&B returns unequal gains on some hours whose equal gains
+    # are secure (hours 0 and 8 here), so only the oracle may skip the solve
+    island = fixtures.island_scenario()
+    hours = fixtures.year_hours(n_hours=12, seed=20300)
+    got = plan(island, hours, backend="bnb", alpha=100.0).records
+    want = [plan_hour(island, hour, backend="bnb", alpha=100.0) for hour in hours]
+    assert [_record_bytes(r) for r in got] == [_record_bytes(r) for r in want]
+
+
+def test_plan_solves_an_hour_whose_equal_gains_fail_only_the_oracles_test(island, monkeypatch):
+    # alpha = 100: the gains alpha/n sum to 100.00000000000001.  On this hour the
+    # DE outage leaves UK within tolerance at that sum but not at alpha itself,
+    # so plan_hour's screen passes and the oracle still solves the LP
+    de = 1287.5000092499993
+    hour = make_hour([1500.0, de, 100.0, 100.0, 100.0, 100.0], wind=1500.0 + de + 400.0)
+    x = np.full(6, 100.0 / 6)
+    p_ref = clear_market(hour) / island.base.s_base_mva
+    assert not (post_fault_excess(x, p_ref, island.p_max, float(x.sum())) > VIOLATION_TOL).any()
+    assert not equal_gains_test(100.0, island.x_min, p_ref, island.p_max)[1]
+    routed, real = [], market.plan_hour
+    monkeypatch.setattr(market, "plan_hour", lambda *a, **k: routed.append(a[1]) or real(*a, **k))
+    got = plan(island, [hour], alpha=100.0).records
+    assert routed == [hour]
+    assert _record_bytes(got[0]) == _record_bytes(_reference_plan_hour(island, hour, alpha=100.0))
 
 
 def _no_gains_above(limit_pu, seen):
