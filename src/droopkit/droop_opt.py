@@ -130,10 +130,8 @@ def exact_residual(x: np.ndarray, problem: DroopProblem) -> float:
 
 
 def equal_gains_test(alpha: float, x_min: np.ndarray, p_ref: np.ndarray, p_max: np.ndarray):
-    """The oracle's test of the gains ``alpha/n`` at set-points ``p_ref`` stacked on leading
-    axes, as ``(alpha/n, ok, residual)``: ``ok`` where they are within the bounds and their
-    ``exact_residual`` at ``alpha`` (the 0.0 diagonal floors the maximum) is at most
-    ``_FEAS_TOL``; a NaN residual fails."""
+    """The oracle's test of ``alpha/n`` at ``p_ref`` stacked on leading axes: ``(alpha/n, ok,
+    residual)``, ``ok`` within the bounds and where ``exact_residual`` (NaN fails) <= _FEAS_TOL."""
     equal = np.full(x_min.size, alpha / x_min.size)
     residual = post_fault_excess(equal, p_ref, p_max, alpha).max(axis=(-2, -1))
     return equal, np.all(equal >= x_min - 1e-12) & (residual <= _FEAS_TOL), residual
@@ -843,12 +841,6 @@ def _solve_highs(problem: DroopProblem) -> DroopSolution:
     )
 
 
-def check_backend(backend: str) -> None:
-    """Raise ``solve_problem``'s error for a backend it does not know."""
-    if backend not in ("oracle", "bnb", "highs"):
-        raise ValueError(f"unknown backend {backend!r} (expected 'oracle', 'bnb' or 'highs')")
-
-
 def solve_problem(problem: DroopProblem, backend: str = "oracle", **options) -> DroopSolution:
     """Solve ``problem`` with one backend: the oracle LP by default, "bnb" or "highs".
 
@@ -857,10 +849,14 @@ def solve_problem(problem: DroopProblem, backend: str = "oracle", **options) -> 
     the digit precision should allow, in which case the caller should lower
     psi.
     """
-    check_backend(backend)
     if backend == "oracle":
         return solve_exact_oracle(problem, **options)
-    sol = (_solve_bnb if backend == "bnb" else _solve_highs)(problem, **options)
+    if backend == "bnb":
+        sol = _solve_bnb(problem, **options)
+    elif backend == "highs":
+        sol = _solve_highs(problem, **options)
+    else:
+        raise ValueError(f"unknown backend {backend!r} (expected 'oracle', 'bnb' or 'highs')")
     if sol.status != "optimal":
         return sol
     tol = 10.0 * 10.0**problem.psi * float(np.max(np.abs(problem.p_ref), initial=0.0))

@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import DroopAssignment, GridScenario, ScenarioError, _readonly
-from .droop_opt import (DEFAULT_ALPHA, DEFAULT_PSI, DroopProblem, build_exact_problem,
-                        check_backend, equal_gains_test, solve_problem)
+from .droop_opt import (DEFAULT_ALPHA, DEFAULT_PSI, DroopProblem, equal_gains_test,
+                        solve_problem)
 from .security import VIOLATION_TOL, post_fault_excess
 from .security import screen_all_contingencies  # noqa: F401  (patched by the benchmark tracer)
 
@@ -233,35 +233,35 @@ def plan(
     backend: str = "oracle",
     psi: int = DEFAULT_PSI,
 ) -> PlanningRun:
-    """``plan_hour`` for every hour, in hour order; an hour whose first clearing one stacked
-    screen finds secure at the equal gains needs no reduction and is recorded here."""
+    """``plan_hour`` for every hour in hour order; one stacked screen spares it the secure ones."""
     _check_step_mw(step_mw)
     run = PlanningRun(policy=policy, alpha=alpha, step_mw=step_mw, link_ids=template.ids)
     ordered = sorted(hours, key=lambda h: h.hour)
-    usable = _usable_mw(template)
-    for i, hour in enumerate(ordered):
-        _check_hour(template, hour, policy, usable)
-        if i == 0:  # what plan_hour raises for its first hour after that hour's own checks
-            x = _equal_gains(template, alpha).x
-            if policy == "adaptive":
-                build_exact_problem(template, alpha, psi)
-                check_backend(backend)
     if not ordered:
         return run
-    flows = [clear_market(hour) for hour in ordered]
-    p_ref = np.array(flows) / template.base.s_base_mva
+    options = dict(policy=policy, step_mw=step_mw, alpha=alpha, backend=backend, psi=psi)
+    run.records = [plan_hour(template, ordered[0], **options)]
+    usable, rest = _usable_mw(template), ordered[1:]
+    for i, hour in enumerate(rest):
+        try:
+            _check_hour(template, hour, policy, usable)
+        except ScenarioError:  # the hours before it raise their solve errors first
+            for earlier in rest[:i]:
+                plan_hour(template, earlier, **options)
+            raise
+    x = _equal_gains(template, alpha).x
+    flows = [clear_market(hour) for hour in rest]
+    p_ref = np.reshape(flows, (-1, x.size)) / template.base.s_base_mva
     excess = post_fault_excess(x, p_ref, template.p_max, float(x.sum()))
     direct = ~(excess > VIOLATION_TOL).any(axis=(1, 2))
     if policy == "adaptive":  # only where the oracle returns alpha/n: B&B and HiGHS may not
         direct &= backend == "oracle" and equal_gains_test(
             float(alpha), template.x_min, p_ref, template.p_max)[1]
     status = "optimal" if policy == "adaptive" else "equal"
-    run.records = [
+    run.records += [
         _record(template, hour, np.array(hour.offered_mw, dtype=float), f, 0, status, x)
-        if ok else
-        plan_hour(template, hour, policy=policy, step_mw=step_mw, alpha=alpha,
-                  backend=backend, psi=psi)
-        for hour, f, ok in zip(ordered, flows, direct.tolist())
+        if ok else plan_hour(template, hour, **options)
+        for hour, f, ok in zip(rest, flows, direct.tolist())
     ]
     return run
 
@@ -279,15 +279,19 @@ class DurationCurves:
 
 def duration_curves(run: PlanningRun) -> DurationCurves:
     """Rearrange the per-hour outcomes in descending order per link."""
-    n = len(run.link_ids)
-    caps = np.array([rec.capacity_mw for rec in run.records]).reshape(-1, n)
-    flows = np.array([rec.flow_mw for rec in run.records]).reshape(-1, n)
-    offered = np.array([rec.offered_mw for rec in run.records]).reshape(-1, n)
-    full = (caps >= offered - 1e-9).sum(axis=0).tolist()
+    caps = {cid: [] for cid in run.link_ids}
+    flows = {cid: [] for cid in run.link_ids}
+    full = {cid: 0 for cid in run.link_ids}
+    for rec in run.records:
+        for j, cid in enumerate(run.link_ids):
+            caps[cid].append(rec.capacity_mw[j])
+            flows[cid].append(rec.flow_mw[j])
+            if rec.capacity_mw[j] >= rec.offered_mw[j] - 1e-9:
+                full[cid] += 1
     return DurationCurves(
         link_ids=run.link_ids,
-        capacity_sorted={cid: np.sort(caps[:, j])[::-1] for j, cid in enumerate(run.link_ids)},
-        flow_sorted={cid: np.sort(flows[:, j])[::-1] for j, cid in enumerate(run.link_ids)},
-        hours_at_full=dict(zip(run.link_ids, full)),
+        capacity_sorted={cid: np.sort(np.array(v))[::-1] for cid, v in caps.items()},
+        flow_sorted={cid: np.sort(np.array(v))[::-1] for cid, v in flows.items()},
+        hours_at_full=full,
         total_curtailed_mwh=run.total_curtailed_mwh,
     )

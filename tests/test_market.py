@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from droopkit import fixtures, market
 from droopkit.core import DroopAssignment, ScenarioError
-from droopkit.droop_opt import DroopSolution, build_exact_problem, equal_gains_test
+from droopkit.droop_opt import (DroopSolution, SolverError, StiffnessError, build_exact_problem,
+                               equal_gains_test)
 from droopkit.market import (
     BidSegment,
     HourRecord,
@@ -204,11 +205,11 @@ def test_offered_capacity_above_usable_rating_rejected(island):
 
 
 def _per_hour_error(island, hours, **kwargs):
-    """The message the loop of ``plan_hour`` calls over ``hours`` in hour order raises."""
-    with pytest.raises(ValueError) as info:
+    """The error the loop of ``plan_hour`` calls over ``hours`` in hour order raises."""
+    with pytest.raises(Exception) as info:
         for hour in sorted(hours, key=lambda h: h.hour):
             plan_hour(island, hour, **kwargs)
-    return str(info.value)
+    return info.value
 
 
 def _wrong_links_hour(hour):
@@ -221,16 +222,18 @@ _GOOD = make_hour([800.0] * 6, wind=1000.0, hour=0)
 _ABOVE_RATING = "offered capacity exceeds a converter's usable rating"
 _WRONG_LINKS = "hour links do not match scenario converters"
 _BELOW_X_MIN = "equal policy violates the gain lower bounds"
-_AT_X_MIN_SUM = ("stiffness target unreachable: alpha=60 does not exceed sum of gain lower "
-                 "bounds 60")
+_AT_X_MIN_SUM = StiffnessError("stiffness target unreachable: alpha=60 does not exceed sum of "
+                                "gain lower bounds 60")
 _POSITIVE_PSI = "digit places must satisfy psi <= 0 <= eta"
-_MAGIC_BACKEND = "unknown backend 'magic' (expected 'oracle', 'bnb' or 'highs')"
+_MAGIC_BACKEND = ValueError("unknown backend 'magic' (expected 'oracle', 'bnb' or 'highs')")
+_NO_GAINS = ("hour 0: the bnb backend finds no gains even at zero flows: alpha=600.5 is not "
+             "representable on the 10^0 grid")
 _LATER_ABOVE_RATING = [_GOOD, make_hour([1800.0] * 6, 5000.0, hour=5)]
 
 
 # list order differs from hour order: the first bad hour in hour order decides.
 # ``options`` is alpha or a dict of keyword options, and ``message`` the message
-# or one per policy
+# of a ScenarioError, or another error, or one of these per policy
 @pytest.mark.parametrize("hours, options, message", [
     ([_GOOD, make_hour([1800.0] * 6, 5000.0, hour=5), make_hour([1800.0] * 6, 5000.0, hour=3)],
      600.0, f"hour 3: {_ABOVE_RATING}"),
@@ -253,16 +256,42 @@ _LATER_ABOVE_RATING = [_GOOD, make_hour([1800.0] * 6, 5000.0, hour=5)]
      {"equal": f"hour 5: {_ABOVE_RATING}", "adaptive": _MAGIC_BACKEND}),
     ([make_hour([800.0] * 6, 1000.0, hour=9), make_hour([1800.0] * 6, 5000.0, hour=4)],
      {"backend": "magic"}, f"hour 4: {_ABOVE_RATING}"),
+    # alpha off the 10^0 grid: B&B finds no gains at any flows, an error only a solve raises
+    ([fixtures.year_hours(n_hours=1, seed=7)[0], make_hour([1800.0] * 6, 5000.0, hour=5)],
+     {"backend": "bnb", "alpha": 600.5, "psi": 0},
+     {"equal": f"hour 5: {_ABOVE_RATING}", "adaptive": _NO_GAINS}),
 ])
 @pytest.mark.parametrize("policy", ["equal", "adaptive"])
 def test_plan_raises_the_per_hour_loops_error_for_the_first_bad_hour(island, hours, options,
                                                                      message, policy):
     options = options if isinstance(options, dict) else {"alpha": options}
     message = message[policy] if isinstance(message, dict) else message
-    assert _per_hour_error(island, hours, policy=policy, **options) == message
-    with pytest.raises(ValueError) as info:
+    want = message if isinstance(message, Exception) else ScenarioError(message)
+    got = _per_hour_error(island, hours, policy=policy, **options)
+    assert (type(got), str(got)) == (type(want), str(want))
+    with pytest.raises(Exception) as info:
         plan(island, hours, policy=policy, **options)
-    assert str(info.value) == message
+    assert (type(info.value), str(info.value)) == (type(want), str(want))
+
+
+def test_plan_raises_an_earlier_hours_solve_error_before_a_later_hours_check_error(
+        island, monkeypatch):
+    # hour 1 fails only in its solve, hour 5 in its checks: the per-hour loop
+    # raises hour 1's error, and so must plan, which checks every hour first
+    real = market.solve_problem
+
+    def solve(problem, **kwargs):
+        if problem.p_ref.sum() * island.base.s_base_mva > 800.0:  # hour 1 exports 1000 MW
+            raise SolverError("node limit")
+        return real(problem, **kwargs)
+
+    monkeypatch.setattr(market, "solve_problem", solve)
+    hours = [make_hour([1800.0] * 6, 5000.0, hour=5), make_hour([800.0] * 6, 1000.0, hour=1),
+             make_hour([100.0] * 6, 600.0, hour=0)]
+    for backend in ("oracle", "bnb"):
+        assert repr(_per_hour_error(island, hours, backend=backend)) == "SolverError('node limit')"
+        with pytest.raises(SolverError, match="^node limit$"):
+            plan(island, hours, backend=backend)
 
 
 def test_equal_policy_loses_full_capacity_hours_adaptive_keeps_them(island):
@@ -429,7 +458,8 @@ def test_plan_hour_matches_reference_through_bnb(h):
 
 def test_plan_through_bnb_never_takes_the_equal_gains_without_a_solve():
     # at alpha = 100 B&B returns unequal gains on some hours whose equal gains
-    # are secure (hours 0 and 8 here), so only the oracle may skip the solve
+    # are secure (hours 0 and 8 here; plan solves hour 0 in any case), so only the
+    # oracle may skip the solve
     island = fixtures.island_scenario()
     hours = fixtures.year_hours(n_hours=12, seed=20300)
     got = plan(island, hours, backend="bnb", alpha=100.0).records
@@ -442,16 +472,16 @@ def test_plan_solves_an_hour_whose_equal_gains_fail_only_the_oracles_test(island
     # DE outage leaves UK within tolerance at that sum but not at alpha itself,
     # so plan_hour's screen passes and the oracle still solves the LP
     de = 1287.5000092499993
-    hour = make_hour([1500.0, de, 100.0, 100.0, 100.0, 100.0], wind=1500.0 + de + 400.0)
+    hour = make_hour([1500.0, de, 100.0, 100.0, 100.0, 100.0], wind=1500.0 + de + 400.0, hour=1)
     x = np.full(6, 100.0 / 6)
     p_ref = clear_market(hour) / island.base.s_base_mva
     assert not (post_fault_excess(x, p_ref, island.p_max, float(x.sum())) > VIOLATION_TOL).any()
     assert not equal_gains_test(100.0, island.x_min, p_ref, island.p_max)[1]
     routed, real = [], market.plan_hour
     monkeypatch.setattr(market, "plan_hour", lambda *a, **k: routed.append(a[1]) or real(*a, **k))
-    got = plan(island, [hour], alpha=100.0).records
-    assert routed == [hour]
-    assert _record_bytes(got[0]) == _record_bytes(_reference_plan_hour(island, hour, alpha=100.0))
+    got = plan(island, [hour, _GOOD], alpha=100.0).records  # the first hour always goes through
+    assert routed == [_GOOD, hour]
+    assert _record_bytes(got[1]) == _record_bytes(_reference_plan_hour(island, hour, alpha=100.0))
 
 
 def _no_gains_above(limit_pu, seen):
