@@ -31,6 +31,11 @@ class ScenarioError(ValueError):
     """Raised when a scenario object is structurally unusable."""
 
 
+def _require_finite(what: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ScenarioError(f"{what} must be finite, got {value!r}")
+
+
 def _readonly(values: Iterable[float]) -> np.ndarray:
     arr = np.array(list(values), dtype=float)
     arr.setflags(write=False)
@@ -52,6 +57,8 @@ class SystemBase:
             raise ScenarioError("f_nom_hz must be positive")
         if self.omega_ref <= 0:
             raise ScenarioError("omega_ref must be positive")
+        for name in ("s_base_mva", "f_nom_hz", "omega_ref"):
+            _require_finite(name, getattr(self, name))
 
 
 def to_per_unit(mw: float, base: SystemBase) -> float:
@@ -95,6 +102,8 @@ class Converter:
             raise ScenarioError(f"converter {self.id}: p_max must lie in (0, 1]")
         if self.x_min <= 0:
             raise ScenarioError(f"converter {self.id}: x_min must be positive")
+        for name in ("rating_mva", "p_ref", "p_max", "x_min"):
+            _require_finite(f"converter {self.id}: {name}", getattr(self, name))
 
     @property
     def headroom(self) -> float:
@@ -132,6 +141,8 @@ class NetworkGraph:
                 raise ScenarioError(f"edge ({i}, {j}) must have positive susceptance")
         if self.grounded_node is not None and self.grounded_node not in known:
             raise ScenarioError(f"grounded node {self.grounded_node} not in network")
+        for i, j, b in self.edges:
+            _require_finite(f"edge ({i}, {j}) susceptance", b)
 
     def index(self, node: str) -> int:
         return self.nodes.index(node)
@@ -217,6 +228,8 @@ class GridScenario:
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise ScenarioError(f"duplicate converter id {dup!r}")
+        for node, p in self.wind_injections:
+            _require_finite(f"wind injection at {node}", p)
 
     @property
     def n(self) -> int:
@@ -258,17 +271,16 @@ class GridScenario:
         base: SystemBase,
         converters: Sequence[Converter],
         wind_injections: Sequence[tuple[str, float]] = (),
-        susceptance: float = DEFAULT_STAR_SUSCEPTANCE,
     ) -> "GridScenario":
         """Scenario on the default topology: every converter and wind node
-        tied to a central island bus with equal susceptance."""
+        tied to a central island bus with susceptance DEFAULT_STAR_SUSCEPTANCE."""
         leaves = [c.id for c in converters] + [node for node, _ in wind_injections]
         seen: list[str] = []
         for leaf in leaves:
             if leaf not in seen:
                 seen.append(leaf)
         nodes = tuple(seen) + (ISLAND_BUS,)
-        edges = tuple((leaf, ISLAND_BUS, susceptance) for leaf in seen)
+        edges = tuple((leaf, ISLAND_BUS, DEFAULT_STAR_SUSCEPTANCE) for leaf in seen)
         net = NetworkGraph(nodes=nodes, edges=edges, grounded_node=ISLAND_BUS)
         return cls(
             base=base,
@@ -337,27 +349,8 @@ class ValidationReport:
 
 
 def validate_scenario(scenario: GridScenario) -> ValidationReport:
-    """Check scenario invariants, returning findings instead of raising.
-
-    Non-finite numbers are errors here: the constructors' sign checks let NaN
-    through, and a NaN set-point would screen as secure.
-    """
+    """Check scenario invariants, returning findings instead of raising."""
     report = ValidationReport()
-
-    def finite(what: str, value: float) -> None:
-        if not math.isfinite(value):
-            report.errors.append(f"{what} must be finite, got {value!r}")
-
-    finite("s_base_mva", scenario.base.s_base_mva)
-    finite("f_nom_hz", scenario.base.f_nom_hz)
-    for c in scenario.converters:
-        for name in ("rating_mva", "p_ref", "p_max", "x_min"):
-            finite(f"converter {c.id}: {name}", getattr(c, name))
-    for node, p in scenario.wind_injections:
-        finite(f"wind injection at {node}", p)
-    for i, j, b in scenario.network.edges:
-        finite(f"edge ({i}, {j}) susceptance", b)
-
     known = set(scenario.network.nodes)
     for c in scenario.converters:
         if abs(c.p_ref) > c.p_max + 1e-12:

@@ -25,7 +25,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -350,57 +349,41 @@ def digit_expansion(value: float, psi: int, eta: int) -> list[int]:
 
 
 class _MilpLayout:
-    """Variable indexing for the digit-expansion MILP."""
+    """Column order of the digit-expansion MILP.
+
+    Each variable family is an integer array of column indices in the
+    family's own shape, and the families below are declared in column order.
+    A digit block ``[..., a, b]`` is indexed by digit a and place b; the
+    families ``sighat_alpha``, ``y_alpha`` and ``y_x`` are indexed by their
+    owner first, ``z`` and ``sighat_x`` by outage k and survivor i.  A pair
+    family has no column on its diagonal k == i: it holds ``num_vars``, one
+    past the last column, so any use of it raises.
+    """
 
     def __init__(self, n: int, psi: int, eta: int):
-        self.n = n
-        self.psi = psi
-        self.eta = eta
         self.places = list(range(psi, eta + 1))
         self.np_ = len(self.places)
-        self.pairs = [(k, i) for k in range(n) for i in range(n) if i != k]
-        self.tpairs = [(i, c) for i in range(n) for c in range(i + 1, n)]
-        blk = 10 * self.np_
-        self.off_x = 0
-        self.off_alpha = n
-        self.off_sigma = 2 * n
-        self.off_z = 3 * n
-        self.off_sa = self.off_z + len(self.pairs)
-        self.off_sx = self.off_sa + n * blk
-        self.off_t = self.off_sx + len(self.pairs) * blk
-        self.off_ya = self.off_t + len(self.tpairs)
-        self.off_yx = self.off_ya + n * blk
-        self.num_vars = self.off_yx + n * blk
+        self.num_vars = 0
+        survivor = ~np.eye(n, dtype=bool)
+        block = (10, self.np_)
+        self.x = self._take(n)
+        self.alpha_k = self._take(n)
+        self.sigma = self._take(n)
+        z = self._take(n * (n - 1))
+        self.sighat_alpha = self._take(n, *block)
+        sighat_x = self._take(n * (n - 1), *block)
+        self.t = self._take(n * (n - 1) // 2)
+        self.y_alpha = self._take(n, *block)
+        self.y_x = self._take(n, *block)
+        self.z = np.full((n, n), self.num_vars)
+        self.sighat_x = np.full((n, n, *block), self.num_vars)
+        self.z[survivor], self.sighat_x[survivor] = z, sighat_x
 
-    def pair_index(self, k: int, i: int) -> int:
-        return k * (self.n - 1) + (i if i < k else i - 1)
-
-    def x(self, i: int) -> int:
-        return self.off_x + i
-
-    def alpha_k(self, k: int) -> int:
-        return self.off_alpha + k
-
-    def sigma(self, k: int) -> int:
-        return self.off_sigma + k
-
-    def z(self, k: int, i: int) -> int:
-        return self.off_z + self.pair_index(k, i)
-
-    def sighat_alpha(self, k: int, a: int, bi: int) -> int:
-        return self.off_sa + (k * 10 + a) * self.np_ + bi
-
-    def sighat_x(self, k: int, i: int, a: int, di: int) -> int:
-        return self.off_sx + (self.pair_index(k, i) * 10 + a) * self.np_ + di
-
-    def t(self, m: int) -> int:
-        return self.off_t + m
-
-    def y_alpha(self, k: int, a: int, bi: int) -> int:
-        return self.off_ya + (k * 10 + a) * self.np_ + bi
-
-    def y_x(self, i: int, a: int, di: int) -> int:
-        return self.off_yx + (i * 10 + a) * self.np_ + di
+    def _take(self, *shape: int) -> np.ndarray:
+        """The next ``prod(shape)`` columns, in that shape."""
+        cols = np.arange(self.num_vars, self.num_vars + math.prod(shape)).reshape(shape)
+        self.num_vars += cols.size
+        return cols
 
 
 @dataclass
@@ -501,55 +484,53 @@ def build_milp(problem: DroopProblem) -> MilpModel:
     s_bar = problem.s_bar
     xlo, xup, alo, ahi, slo, shi, z_lo, z_hi = _tightened_bounds(problem)
     place_val = [10.0**b for b in lay.places]
+    pk, pi = np.nonzero(~np.eye(n, dtype=bool))  # (outage, survivor) pairs, outage-major
 
     lb = np.zeros(lay.num_vars)
     ub = np.full(lay.num_vars, np.inf)
     integrality = np.zeros(lay.num_vars, dtype=bool)
-    # variables are laid out block by block, and pairs and digit blocks run
-    # outage-major, so each block's bounds are one slice of the layout
-    blk = 10 * lay.np_
-    lb[: lay.off_z] = np.concatenate([xlo, alo, slo])
-    ub[: lay.off_z] = np.concatenate([xup, ahi, shi])
-    survivor = ~np.eye(n, dtype=bool)
-    lb[lay.off_z : lay.off_sa], ub[lay.off_z : lay.off_sa] = z_lo[survivor], z_hi[survivor]
-    ub[lay.off_sa : lay.off_sx] = np.repeat(s_bar, blk)
-    ub[lay.off_sx : lay.off_t] = np.repeat(s_bar, (n - 1) * blk)
-    ub[lay.off_t : lay.off_ya] = float(xup.max() - xlo.min())
-    integrality[lay.off_ya :] = True
+    lb[lay.x], ub[lay.x] = xlo, xup
+    lb[lay.alpha_k], ub[lay.alpha_k] = alo, ahi
+    lb[lay.sigma], ub[lay.sigma] = slo, shi
+    lb[lay.z[pk, pi]], ub[lay.z[pk, pi]] = z_lo[pk, pi], z_hi[pk, pi]
+    ub[lay.sighat_alpha] = s_bar[:, None, None]
+    ub[lay.sighat_x[pk, pi]] = s_bar[pk, None, None]
+    ub[lay.t] = float(xup.max() - xlo.min())
+    integrality[lay.y_alpha] = integrality[lay.y_x] = True
     # a digit is impossible when its place value alone overshoots
     digit_val = np.arange(10)[:, None] * np.array(place_val)
-    ub[lay.off_ya : lay.off_yx] = (digit_val <= ahi[:, None, None] + 1e-9).ravel()
-    ub[lay.off_yx :] = (digit_val <= xup[:, None, None] + 1e-9).ravel()
+    ub[lay.y_alpha] = digit_val <= ahi[:, None, None] + 1e-9
+    ub[lay.y_x] = digit_val <= xup[:, None, None] + 1e-9
 
     eq, le = _Rows(), _Rows()  # equality and <= rows
     eq_row, ub_row = eq.add, le.add
 
-    # a digit block is indexed by (digit a, place b); ``digit`` and ``copy``
-    # below are layout methods with their leading indices bound
+    # ``digit`` and ``copy`` below are one owner's (digit a, place b) block of
+    # columns, and a flattened block runs in the order of these weights
     digits = [(a, b) for a in range(10) for b in range(lay.np_)]
     weights = [a * place_val[b] for a, b in digits]
     # -a with a an int, so the a = 0 weight is +0.0 rather than -0.0
     neg_weights = [-a * place_val[b] for a, b in digits]
 
     def digit_value(digit, head=None):
-        """head = sum of a * place_val[b] * digit(a, b); with no head that sum is 1."""
-        cols = [digit(a, b) for a, b in digits]
+        """head = sum of a * place_val[b] * digit[a, b]; with no head that sum is 1."""
+        cols = digit.ravel().tolist()
         if head is None:
             eq_row(cols, weights, 1.0)
         else:
             eq_row([head] + cols, [1.0] + neg_weights, 0.0)
 
     def one_hot(digit, b):
-        eq_row([digit(a, b) for a in range(10)], [1.0] * 10, 1.0)
+        eq_row(digit[:, b].tolist(), [1.0] * 10, 1.0)
 
     def copies(k, copy, b):
         """The ten copies of place b disaggregate the reciprocal sigma_k."""
-        eq_row([lay.sigma(k)] + [copy(a, b) for a in range(10)], [1.0] + [-1.0] * 10, 0.0)
+        eq_row([lay.sigma[k]] + copy[:, b].tolist(), [1.0] + [-1.0] * 10, 0.0)
 
     def activation(k, copy, digit):
         """A copy is zero unless its digit is selected."""
-        for a, b in digits:
-            ub_row([copy(a, b), digit(a, b)], [1.0, -s_bar[k]], 0.0)
+        for col, dig in zip(copy.ravel().tolist(), digit.ravel().tolist()):
+            ub_row([col, dig], [1.0, -s_bar[k]], 0.0)
 
     def mccormick(w, u, v, u_lo, u_hi, v_lo, v_hi):
         """Envelope of w = u * v, under then over; w None is the constant product 1."""
@@ -561,15 +542,15 @@ def build_milp(problem: DroopProblem) -> MilpModel:
                 ub_row([w, v, u], [-s, s * bu, s * bv], s * bu * bv)
 
     # stiffness budget and per-outage surviving stiffness
-    eq_row([lay.x(i) for i in range(n)], [1.0] * n, alpha)
+    eq_row(lay.x.tolist(), [1.0] * n, alpha)
     for k in range(n):
-        eq_row([lay.alpha_k(k), lay.x(k)], [1.0, 1.0], alpha)
+        eq_row([lay.alpha_k[k], lay.x[k]], [1.0, 1.0], alpha)
 
     for k in range(n):
         # one-hot decimal expansion of the surviving stiffness, and its
         # reciprocal coupled through the disaggregated copies
-        digit, copy = partial(lay.y_alpha, k), partial(lay.sighat_alpha, k)
-        digit_value(digit, head=lay.alpha_k(k))
+        digit, copy = lay.y_alpha[k], lay.sighat_alpha[k]
+        digit_value(digit, head=lay.alpha_k[k])
         digit_value(copy)
         for b in range(lay.np_):
             copies(k, copy, b)
@@ -578,45 +559,45 @@ def build_milp(problem: DroopProblem) -> MilpModel:
 
     for i in range(n):
         # one-hot decimal expansion of each gain
-        digit = partial(lay.y_x, i)
-        digit_value(digit, head=lay.x(i))
+        digit_value(lay.y_x[i], head=lay.x[i])
         for b in range(lay.np_):
-            one_hot(digit, b)
+            one_hot(lay.y_x[i], b)
 
-    for k, i in lay.pairs:
+    pairs = list(zip(pk.tolist(), pi.tolist()))
+    for k, i in pairs:
         # each share from the reciprocal's copies over the gain's digits
-        copy = partial(lay.sighat_x, k, i)
+        copy = lay.sighat_x[k, i]
         for b in range(lay.np_):
             copies(k, copy, b)
-        digit_value(copy, head=lay.z(k, i))
-        activation(k, copy, partial(lay.y_x, i))
+        digit_value(copy, head=lay.z[k, i])
+        activation(k, copy, lay.y_x[i])
 
     # recovered linear post-fault limits on the shares
     limits = [arr.tolist() for arr in _limit_rows(problem)]
     for k, i, a, b in zip(*limits):
-        ub_row([lay.z(k, i)], [a], b)
+        ub_row([lay.z[k, i]], [a], b)
 
     # epigraph of the pairwise-gap objective
     for i, c, m, s in zip(*[arr.tolist() for arr in _epigraph_rows(n)]):
-        ub_row([lay.x(i), lay.x(c), lay.t(m)], [s, -s, -1.0], 0.0)
+        ub_row([lay.x[i], lay.x[c], lay.t[m]], [s, -s, -1.0], 0.0)
 
     # valid strengthening: shares of any outage sum to one
     for k in range(n):
-        eq_row([lay.z(k, i) for i in range(n) if i != k], [1.0] * (n - 1), 1.0)
+        eq_row([lay.z[k, i] for i in range(n) if i != k], [1.0] * (n - 1), 1.0)
 
     # valid strengthening: McCormick envelopes of z = sigma * x and of
     # sigma * surviving stiffness = 1
-    for k, i in lay.pairs:
-        mccormick(lay.z(k, i), lay.sigma(k), lay.x(i), slo[k], shi[k], xlo[i], xup[i])
+    for k, i in pairs:
+        mccormick(lay.z[k, i], lay.sigma[k], lay.x[i], slo[k], shi[k], xlo[i], xup[i])
     for k in range(n):
-        mccormick(None, lay.sigma(k), lay.alpha_k(k), slo[k], shi[k], alo[k], ahi[k])
+        mccormick(None, lay.sigma[k], lay.alpha_k[k], slo[k], shi[k], alo[k], ahi[k])
 
     # valid strengthening: the exact linear rows of the oracle
     for k, i, a, b in zip(*limits):
-        ub_row([lay.x(i), lay.x(k)], [a, b], b * alpha)
+        ub_row([lay.x[i], lay.x[k]], [a, b], b * alpha)
 
     c = np.zeros(lay.num_vars)
-    c[lay.off_t : lay.off_ya] = 1.0
+    c[lay.t] = 1.0
 
     return MilpModel(
         layout=lay,
@@ -831,7 +812,7 @@ def _solve_highs(problem: DroopProblem) -> DroopSolution:
     if res.status != 0 or res.x is None:
         raise SolverError(f"HiGHS MILP failed with status {res.status}: {res.message}")
     q = 10.0**problem.psi
-    x = np.round(res.x[: problem.n] / q) * q
+    x = np.round(res.x[model.layout.x] / q) * q
     return DroopSolution(
         status="optimal",
         assignment=DroopAssignment(x),

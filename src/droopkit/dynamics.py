@@ -212,19 +212,17 @@ def h2_decomposition_check(
     k_m2: float,
     b_m1: float = 1.0,
     b_m2: float = 1.0,
-    ground_id: str | None = None,
 ) -> H2Decomposition:
     """Attach two extra converters to the grounded node and compare norms.
 
-    Grounding severs the coupling, so the assembled system's squared norm
-    must equal the sum of the base network's and the two single-node
-    subsystems'; both sides are computed independently by Lyapunov solves.
+    The last converter is the grounded node.  Grounding severs the
+    coupling, so the assembled system's squared norm must equal the sum of
+    the base network's and the two single-node subsystems'; both sides are
+    computed independently by Lyapunov solves.
     """
     if model.scenario is None:
         raise ScenarioError("decomposition check needs the full model")
-    ids = list(model.scenario.ids)
-    g = ids.index(ground_id) if ground_id is not None else len(ids) - 1
-    keep = [i for i in range(len(ids)) if i != g]
+    keep = list(range(model.scenario.n - 1))
     lap_base = model.L_B[np.ix_(keep, keep)]
     gains_base = model.k_f[keep]
 

@@ -35,13 +35,10 @@ def island_base() -> SystemBase:
     return SystemBase(s_base_mva=S_BASE_MVA, f_nom_hz=F_NOM_HZ)
 
 
-def island_scenario(
-    p_ref_mw: tuple[float, ...] | list[float] | None = None,
-    wind_mw: float | None = None,
-) -> GridScenario:
+def island_scenario(p_ref_mw: tuple[float, ...] | list[float] | None = None) -> GridScenario:
     """Six-converter island on the default star network.
 
-    Wind defaults to the sum of the set-points so the scenario is balanced.
+    Wind is the sum of the set-points, so the scenario is balanced.
     """
     base = island_base()
     flows = tuple(HOUR3_FLOWS_MW if p_ref_mw is None else p_ref_mw)
@@ -51,7 +48,7 @@ def island_scenario(
         Converter(id=cid, rating_mva=RATING_MVA, p_ref=mw / base.s_base_mva)
         for cid, mw in zip(COUNTRIES, flows)
     )
-    total = sum(flows) if wind_mw is None else wind_mw
+    total = sum(flows)
     wind = tuple(
         (node, share * total / base.s_base_mva) for node, share in zip(WIND_NODES, WIND_SPLIT)
     )
@@ -86,15 +83,13 @@ def bid_curves(
     return tuple(curves)
 
 
-def year_hours(
-    n_hours: int = 8760,
-    seed: int = 20300,
-    offered_mw: float = 1700.0,
-    fixture_id: str = "diurnal",
-) -> list[HourScenario]:
-    """Synthetic hourly market year with a seasonal, noisy wind profile."""
+def year_hours(n_hours: int = 8760, seed: int = 20300) -> list[HourScenario]:
+    """Synthetic hourly market year with a seasonal, noisy wind profile.
+
+    Every link offers 1700 MW each hour, bid on the "diurnal" fixture.
+    """
     rng = np.random.default_rng(seed)
-    offered = np.full(len(COUNTRIES), offered_mw)
+    offered = np.full(len(COUNTRIES), 1700.0)
     hours = []
     for h in range(n_hours):
         seasonal = 4200.0 + 2800.0 * math.sin(2.0 * math.pi * h / 8760.0 * 4.0 + 1.0)
@@ -106,8 +101,8 @@ def year_hours(
                 wind_mw=wind,
                 link_ids=COUNTRIES,
                 offered_mw=offered,
-                bids=bid_curves(fixture_id, h, COUNTRIES, offered),
-                bid_fixture=fixture_id,
+                bids=bid_curves("diurnal", h, COUNTRIES, offered),
+                bid_fixture="diurnal",
             )
         )
     return hours

@@ -270,6 +270,8 @@ def test_simulate_off_grid_event_exits_one(grid_file, tmp_path, capsys):
 @pytest.mark.parametrize("events, message", [
     (["wind:NOPE:10@99.9"], "wind step at unknown wind node 'NOPE'"),
     (["outage:UK@1", "outage:UK@99.9"], "outage at t=99.9s of converter 'UK', which is already"),
+    (["outage:UK"], "event 'outage:UK' needs '@<time_s>'"),
+    (["trip:UK@1"], "cannot parse event 'trip:UK@1'; use outage:<id>@<t> or wind:<node>:<mw>@<t>"),
 ])
 def test_simulate_bad_late_event_exits_one(grid_file, tmp_path, capsys, events, message):
     out = tmp_path / "traj.csv"
@@ -277,6 +279,17 @@ def test_simulate_bad_late_event_exits_one(grid_file, tmp_path, capsys, events, 
             "--out", str(out)]
     rc = main(argv + [f"--event={spec}" for spec in events])
     _assert_one_line_usage_error(rc, capsys, message)
+    assert not out.exists()
+
+
+# the guard samples the state every 256 steps and at the end of each segment between events
+@pytest.mark.parametrize("t_end, t_diverged", [("1", "0.756"), ("0.6", "0.6")])
+def test_simulate_diverging_state_exits_one(grid_file, tmp_path, capsys, t_end, t_diverged):
+    out = tmp_path / "traj.csv"
+    rc = main(["simulate", "--grid", str(grid_file), "--t-end", t_end,
+               "--event", "wind:WF1:1e15@0.5", "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, f"state magnitude beyond 1e+06 at t={t_diverged}s; "
+                                 "check gains and time step")
     assert not out.exists()
 
 
@@ -438,6 +451,10 @@ def test_mistyped_grid_field_exits_one_naming_it(tmp_path, island, capsys, messa
          lambda ids: {"x": [100.0] * 6, "ids": [[ids[0]]] + ids[1:]}),
         ("droops field 'x' has 5 gains but 'ids' has 6",
          lambda ids: {"x": [100.0] * 5, "ids": ids}),
+        ("holds no solution (status infeasible)", lambda ids: {"status": "infeasible", "x": None}),
+        ("droops file length does not match the grid", lambda ids: {"x": [100.0] * 5}),
+        ("droops file ids do not match the grid",
+         lambda ids: {"x": [100.0] * 6, "ids": ids[:5] + ["XX"]}),
     ],
 )
 def test_mistyped_droops_field_exits_one_naming_it(grid_file, tmp_path, island, capsys,

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from droopkit.core import (
     to_per_unit,
     validate_scenario,
 )
+from droopkit.security import is_secure
+from tests.conftest import scenario_with_flows
 
 BASE = SystemBase(1850.0, 50.0)
 
@@ -138,6 +142,35 @@ def test_validate_imbalance_is_warning_not_error(island):
     report = validate_scenario(skew)
     assert report.ok
     assert any("imbalance" in w for w in report.warnings)
+
+
+def _screen_with_nan_set_point(island):
+    """A NaN set-point passes every sign test and used to screen as N-1 secure."""
+    scen = scenario_with_flows(island, [math.nan, *island.p_ref[1:]])
+    return is_secure(DroopAssignment.equal(600.0, 6), scen)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda island: SystemBase(math.nan), "s_base_mva must be finite, got nan",
+                 id="s_base_mva"),
+    pytest.param(lambda island: SystemBase(1850.0, f_nom_hz=math.inf),
+                 "f_nom_hz must be finite, got inf", id="f_nom_hz"),
+    pytest.param(lambda island: SystemBase(1850.0, omega_ref=math.inf),
+                 "omega_ref must be finite, got inf", id="omega_ref"),
+    pytest.param(lambda island: Converter("UK", math.inf, 0.5),
+                 "converter UK: rating_mva must be finite, got inf", id="rating_mva"),
+    pytest.param(lambda island: Converter("UK", 1850.0, 0.5, x_min=math.inf),
+                 "converter UK: x_min must be finite, got inf", id="x_min"),
+    pytest.param(_screen_with_nan_set_point, "converter UK: p_ref must be finite, got nan",
+                 id="p_ref-is_secure"),
+    pytest.param(lambda island: NetworkGraph(("a", "b"), (("a", "b", math.inf),)),
+                 "edge (a, b) susceptance must be finite, got inf", id="susceptance"),
+    pytest.param(lambda island: dataclasses.replace(island, wind_injections=(("WF1", math.nan),)),
+                 "wind injection at WF1 must be finite, got nan", id="wind"),
+])
+def test_non_finite_field_raises_naming_it(island, build, message):
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        build(island)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -136,8 +137,8 @@ def test_milp_binary_counts_reference_case():
     model = build_milp(prob)
     lay = model.layout
     assert lay.np_ == 4  # places 10^-1 .. 10^2
-    assert lay.off_yx - lay.off_ya == 3 * 10 * 4 == 120  # stiffness digits
-    assert lay.num_vars - lay.off_yx == 120  # gain digits
+    assert lay.y_x[0, 0, 0] - lay.y_alpha[0, 0, 0] == 3 * 10 * 4 == 120  # stiffness digits
+    assert lay.num_vars - lay.y_x[0, 0, 0] == 120  # gain digits
     assert model.num_binaries <= 240  # some digits are fixed away by bounds
 
 
@@ -164,12 +165,12 @@ def test_one_hot_rule_and_pinned_digits_reproduce_reciprocal():
     for i in range(2):
         for di, d in enumerate(digit_expansion(x_pin[i], prob.psi, prob.eta)):
             for a in range(10):
-                j = lay.y_x(i, a, di)
+                j = lay.y_x[i, a, di]
                 lb[j] = ub[j] = 1.0 if a == d else 0.0
     for k in range(2):
         for bi, d in enumerate(digit_expansion(prob.alpha - x_pin[k], prob.psi, prob.eta)):
             for a in range(10):
-                j = lay.y_alpha(k, a, bi)
+                j = lay.y_alpha[k, a, bi]
                 lb[j] = ub[j] = 1.0 if a == d else 0.0
     res = linprog(
         model.c,
@@ -182,15 +183,15 @@ def test_one_hot_rule_and_pinned_digits_reproduce_reciprocal():
     )
     assert res.status == 0
     for k in range(2):
-        sigma = res.x[lay.sigma(k)]
+        sigma = res.x[lay.sigma[k]]
         assert sigma == pytest.approx(1.0 / (prob.alpha - x_pin[k]), abs=10.0**prob.psi)
         # one active digit per place
         for bi in range(lay.np_):
-            active = [res.x[lay.y_alpha(k, a, bi)] for a in range(10)]
+            active = [res.x[lay.y_alpha[k, a, bi]] for a in range(10)]
             assert sum(active) == pytest.approx(1.0, abs=1e-9)
     # the recovered share equals the exact bilinear product
     for k, i in ((0, 1), (1, 0)):
-        z = res.x[lay.z(k, i)]
+        z = res.x[lay.z[k, i]]
         assert z == pytest.approx(x_pin[i] / (prob.alpha - x_pin[k]), abs=1e-9)
 
 
@@ -727,23 +728,23 @@ def _reference_milp_bounds(model, problem):
     lb, ub = np.zeros(lay.num_vars), np.full(lay.num_vars, np.inf)
     integrality = np.zeros(lay.num_vars, dtype=bool)
     for i in range(n):
-        lb[lay.x(i)], ub[lay.x(i)] = xlo[i], xup[i]
+        lb[lay.x[i]], ub[lay.x[i]] = xlo[i], xup[i]
     for k in range(n):
-        lb[lay.alpha_k(k)], ub[lay.alpha_k(k)] = alo[k], ahi[k]
-        lb[lay.sigma(k)], ub[lay.sigma(k)] = slo[k], shi[k]
+        lb[lay.alpha_k[k]], ub[lay.alpha_k[k]] = alo[k], ahi[k]
+        lb[lay.sigma[k]], ub[lay.sigma[k]] = slo[k], shi[k]
         for a in range(10):
             for bi in range(lay.np_):
-                ub[lay.sighat_alpha(k, a, bi)] = s_bar[k]
-                ub[lay.y_alpha(k, a, bi)] = 0.0 if a * place_val[bi] > ahi[k] + 1e-9 else 1.0
-                ub[lay.y_x(k, a, bi)] = 0.0 if a * place_val[bi] > xup[k] + 1e-9 else 1.0
-                integrality[[lay.y_alpha(k, a, bi), lay.y_x(k, a, bi)]] = True
-    for k, i in lay.pairs:
-        lb[lay.z(k, i)], ub[lay.z(k, i)] = z_lo[k, i], z_hi[k, i]
+                ub[lay.sighat_alpha[k, a, bi]] = s_bar[k]
+                ub[lay.y_alpha[k, a, bi]] = 0.0 if a * place_val[bi] > ahi[k] + 1e-9 else 1.0
+                ub[lay.y_x[k, a, bi]] = 0.0 if a * place_val[bi] > xup[k] + 1e-9 else 1.0
+                integrality[[lay.y_alpha[k, a, bi], lay.y_x[k, a, bi]]] = True
+    for k, i in itertools.permutations(range(n), 2):
+        lb[lay.z[k, i]], ub[lay.z[k, i]] = z_lo[k, i], z_hi[k, i]
         for a in range(10):
             for di in range(lay.np_):
-                ub[lay.sighat_x(k, i, a, di)] = s_bar[k]
-    for m in range(len(lay.tpairs)):
-        ub[lay.t(m)] = float(xup.max() - xlo.min())
+                ub[lay.sighat_x[k, i, a, di]] = s_bar[k]
+    for m in range(lay.t.size):
+        ub[lay.t[m]] = float(xup.max() - xlo.min())
     return lb, ub, integrality
 
 
