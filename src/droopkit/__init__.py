@@ -10,7 +10,6 @@ from .core import (
     NetworkGraph,
     ScenarioError,
     SystemBase,
-    ValidationReport,
     from_per_unit,
     kron_reduction,
     to_per_unit,

@@ -200,8 +200,7 @@ def _load_json(path: str | Path, file: str):
 
 def load_grid(path: str | Path) -> GridScenario:
     scenario = grid_from_json(_load_json(path, "grid"))
-    report = validate_scenario(scenario)
-    report.raise_if_invalid()
+    validate_scenario(scenario)
     return scenario
 
 
@@ -271,6 +270,15 @@ def load_droops(path: str | Path, scenario: GridScenario) -> DroopAssignment:
     return DroopAssignment(np.array(x))
 
 
+def _convert(convert, text: str, what: str):
+    """``convert(text)``, or a ScenarioError naming ``what`` (where it was read) and the text."""
+    try:
+        return convert(text)
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise ScenarioError(f"{what} {text!r} is not {kind}") from None
+
+
 def hours_from_csv(text: str, link_ids: tuple[str, ...]) -> list[HourScenario]:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
@@ -286,9 +294,15 @@ def hours_from_csv(text: str, link_ids: tuple[str, ...]) -> list[HourScenario]:
             raise ScenarioError(
                 f"hours CSV row {ln!r} has {len(cells)} cells, expected {len(expected)}"
             )
-        hour = int(cells[0])
-        wind = float(cells[1])
-        caps = [float(v) for v in cells[2 : 2 + len(link_ids)]]
+        try:
+            hour = int(cells[0])
+            wind = float(cells[1])
+            caps = [float(v) for v in cells[2 : 2 + len(link_ids)]]
+        except ValueError:  # name the first cell that does not parse
+            for column, cell in zip(expected[:-1], cells):
+                _convert(int if column == "hour" else float, cell,
+                         f"hours CSV row {ln!r}: {column}")
+            raise
         if not all(map(math.isfinite, [wind, *caps])):
             raise ScenarioError(f"hours CSV hour {hour}: wind_mw and cap_* must be finite")
         caps = np.array(caps)
@@ -376,12 +390,13 @@ def _parse_event(spec: str, base_mva: float):
     body, _, at = spec.partition("@")
     if not at:
         raise ScenarioError(f"event {spec!r} needs '@<time_s>'")
-    time = float(at)
+    time = _convert(float, at, f"event {spec!r}: time")
     parts = body.split(":")
     if parts[0] == "outage" and len(parts) == 2:
         return ConverterOutage(time=time, converter_id=parts[1])
     if parts[0] == "wind" and len(parts) == 3:
-        return WindStep(time=time, node=parts[1], delta_pu=float(parts[2]) / base_mva)
+        mw = _convert(float, parts[2], f"event {spec!r}: megawatts")
+        return WindStep(time=time, node=parts[1], delta_pu=mw / base_mva)
     raise ScenarioError(
         f"cannot parse event {spec!r}; use outage:<id>@<t> or wind:<node>:<mw>@<t>"
     )

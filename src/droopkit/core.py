@@ -10,7 +10,7 @@ p_ref_k back into the island.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -22,9 +22,6 @@ DEFAULT_P_MAX = 0.95
 DEFAULT_X_MIN = 10.0
 DEFAULT_STAR_SUSCEPTANCE = 10.0
 ISLAND_BUS = "island"
-
-#: Pre-fault power balance looser than this is reported as a warning.
-BALANCE_TOL = 1e-9
 
 
 class ScenarioError(ValueError):
@@ -115,9 +112,10 @@ class Converter:
 class NetworkGraph:
     """Undirected susceptance-weighted graph of the island AC network.
 
-    Edges are (node_i, node_j, b_ij) with b_ij > 0 in per-unit.  Connectivity
-    is a validation finding, not a construction error, so screening tools can
-    report it; everything else malformed raises at construction.
+    Edges are (node_i, node_j, b_ij) in per-unit.  Construction guarantees unique
+    node ids, edges between two distinct known nodes with b_ij > 0 and finite, and
+    a grounded node (if any) in the network.  Connectivity is not an invariant, as
+    reduction is tested on disconnected graphs: ``validate_scenario`` raises on it.
     """
 
     nodes: tuple[str, ...]
@@ -206,6 +204,10 @@ def kron_reduction(lap: np.ndarray, keep: Sequence[int]) -> tuple[np.ndarray, np
 class GridScenario:
     """Converters, wind injections and network forming the planning input.
 
+    Construction guarantees at least 2 converters with unique ids, each a network
+    node, and finite non-negative wind injections at network nodes.  Set-points
+    beyond ``p_max`` are screened on purpose: ``validate_scenario`` raises on them.
+
     The per-converter views (``ids``, ``p_ref``, ...) are computed once: the
     dataclass is frozen and the arrays are read-only.
     """
@@ -230,6 +232,15 @@ class GridScenario:
             raise ScenarioError(f"duplicate converter id {dup!r}")
         for node, p in self.wind_injections:
             _require_finite(f"wind injection at {node}", p)
+        known = set(self.network.nodes)
+        for cid in ids:
+            if cid not in known:
+                raise ScenarioError(f"converter {cid} not present in network")
+        for node, p in self.wind_injections:
+            if node not in known:
+                raise ScenarioError(f"wind node {node} not present in network")
+            if p < 0:
+                raise ScenarioError(f"wind injection at {node} must be non-negative")
 
     @property
     def n(self) -> int:
@@ -332,47 +343,12 @@ class DroopAssignment:
         return cls(np.full(n, alpha / n))
 
 
-@dataclass
-class ValidationReport:
-    """Hard errors make a scenario unusable; warnings are advisory."""
-
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def raise_if_invalid(self) -> None:
-        if self.errors:
-            raise ScenarioError("; ".join(self.errors))
-
-
-def validate_scenario(scenario: GridScenario) -> ValidationReport:
-    """Check scenario invariants, returning findings instead of raising."""
-    report = ValidationReport()
-    known = set(scenario.network.nodes)
-    for c in scenario.converters:
-        if abs(c.p_ref) > c.p_max + 1e-12:
-            report.errors.append(
-                f"converter {c.id}: set-point exceeds limit "
-                f"(|{c.p_ref:g}| > {c.p_max:g} pu)"
-            )
-        if c.id not in known:
-            report.errors.append(f"converter {c.id} not present in network")
-    for node, p in scenario.wind_injections:
-        if node not in known:
-            report.errors.append(f"wind node {node} not present in network")
-        if p < 0:
-            report.errors.append(f"wind injection at {node} must be non-negative")
-
+def validate_scenario(scenario: GridScenario) -> None:
+    """Raise ``ScenarioError`` naming every set-point beyond its limit and a
+    disconnected network, the findings a well-formed scenario may carry."""
+    errors = [f"converter {c.id}: set-point exceeds limit (|{c.p_ref:g}| > {c.p_max:g} pu)"
+              for c in scenario.converters if abs(c.p_ref) > c.p_max + 1e-12]
     if not scenario.network.is_connected():
-        report.errors.append("network is disconnected")
-
-    imbalance = float(scenario.p_ref.sum()) - scenario.wind_total
-    if abs(imbalance) > BALANCE_TOL:
-        report.warnings.append(
-            f"pre-fault power imbalance of {imbalance:.3e} pu "
-            "(set-points do not match wind)"
-        )
-    return report
+        errors.append("network is disconnected")
+    if errors:
+        raise ScenarioError("; ".join(errors))

@@ -118,7 +118,8 @@ def pair_distance(x: np.ndarray) -> float:
     """Objective value: sum of pairwise absolute gaps between gains."""
     x = np.asarray(x, dtype=float)
     diffs = np.abs(x[:, None] - x[None, :])
-    return float(diffs[np.triu_indices(x.size, k=1)].sum())
+    index = np.arange(x.size)
+    return float(diffs[index[:, None] < index].sum())  # the upper triangle, row by row
 
 
 def exact_residual(x: np.ndarray, problem: DroopProblem) -> float:

@@ -122,10 +122,8 @@ def assemble_model(
     for col, (node, _) in enumerate(scenario.wind_injections):
         if node in conv_pos:
             wind_map[conv_pos[node], col] = 1.0
-        elif node in drop_pos:
-            wind_map[:, col] = inj_map[:, drop_pos[node]]
         else:
-            raise ScenarioError(f"wind node {node} not present in network")
+            wind_map[:, col] = inj_map[:, drop_pos[node]]
 
     k = np.asarray(assignment.k_f)
     a, b, c = _droop_matrices(k[:, None] * lap, np.diag(k), tau)

@@ -74,11 +74,18 @@ def post_fault_excess(
 
 
 def _sharing(assignment: DroopAssignment, scenario: GridScenario, p_ref: np.ndarray):
-    """``post_fault_sharing`` of an assignment at ``p_ref``, the scenario's set-points."""
+    """``post_fault_sharing`` of an assignment at ``p_ref``, the scenario's set-points;
+    a gain that swamps the rest, so that ``alpha - x_k`` rounds to 0, raises."""
     if assignment.n != scenario.n:
         raise ScenarioError(
             f"assignment has {assignment.n} gains but scenario has {scenario.n} converters"
         )
+    k = int(assignment.x.argmax())
+    largest = float(assignment.x[k])
+    surviving = assignment.alpha - largest
+    if not surviving > 0:
+        raise ScenarioError(f"converter {scenario.ids[k]}: inverse droop gain x={largest!r} "
+                            f"leaves no surviving stiffness (alpha - x = {surviving!r})")
     return post_fault_sharing(assignment.x, p_ref, assignment.alpha)
 
 

@@ -16,6 +16,7 @@ from droopkit.cli import (
     load_grid,
     main,
 )
+from droopkit.core import Converter, GridScenario, SystemBase
 from droopkit.market import plan
 
 
@@ -272,6 +273,8 @@ def test_simulate_off_grid_event_exits_one(grid_file, tmp_path, capsys):
     (["outage:UK@1", "outage:UK@99.9"], "outage at t=99.9s of converter 'UK', which is already"),
     (["outage:UK"], "event 'outage:UK' needs '@<time_s>'"),
     (["trip:UK@1"], "cannot parse event 'trip:UK@1'; use outage:<id>@<t> or wind:<node>:<mw>@<t>"),
+    (["outage:UK@soon"], "droopkit: event 'outage:UK@soon': time 'soon' is not a number\n"),
+    (["wind:WF1:abc@0.5"], "droopkit: event 'wind:WF1:abc@0.5': megawatts 'abc' is not a number\n"),
 ])
 def test_simulate_bad_late_event_exits_one(grid_file, tmp_path, capsys, events, message):
     out = tmp_path / "traj.csv"
@@ -348,6 +351,18 @@ def test_check_n1_non_finite_gains_exit_one(grid_file, tmp_path, capsys):
     droops.write_text(json.dumps({"x": [100.0] * 5 + [float("inf")]}))
     rc = main(["check-n1", "--grid", str(grid_file), "--droops", str(droops), "--out", str(out)])
     _assert_one_line_usage_error(rc, capsys, "positive and finite")
+    # a gain that swamps the others leaves alpha - x_k == 0.0: an SSFD of 0/0 on a
+    # two-converter grid (which used to screen as secure) and p/0 on the island
+    pair = GridScenario.with_star_network(SystemBase(100.0), (Converter("a", 100.0, 0.0),
+                                          Converter("b", 100.0, 0.5)), (("w", 0.5),))
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps(grid_to_json(pair)))
+    for grid, x, first in ((two, [1e20, 1e-5], "a"), (grid_file, [1e20] + [1e-5] * 5, "UK")):
+        droops.write_text(json.dumps({"x": x}))
+        rc = main(["check-n1", "--grid", str(grid), "--droops", str(droops), "--out", str(out)])
+        _assert_one_line_usage_error(rc, capsys, f"droopkit: converter {first}: inverse droop "
+                                     "gain x=1e+20 leaves no surviving stiffness "
+                                     "(alpha - x = 0.0)\n")
     assert not out.exists()
 
 
@@ -384,11 +399,19 @@ def test_deeply_nested_json_exits_one_naming_the_file(grid_file, tmp_path, capsy
 
 def test_market_loop_short_hours_row_exits_one(grid_file, hours_file, tmp_path, capsys):
     lines = hours_file.read_text().splitlines()
-    hours_file.write_text("\n".join(lines[:2] + ["1,2"] + lines[3:]) + "\n")
+    cells = lines[2].split(",")
+    bad_hour = ",".join(["x"] + cells[1:])
+    bad_wind = ",".join(cells[:1] + ["abc"] + cells[2:])
     out = tmp_path / "out"
-    rc = main(["market-loop", "--grid", str(grid_file), "--hours", str(hours_file),
-               "--policy", "equal", "--out", str(out)])
-    _assert_one_line_usage_error(rc, capsys, "hours CSV row '1,2'", "2 cells, expected 9")
+    for row, needles in (
+        ("1,2", ("hours CSV row '1,2'", "2 cells, expected 9")),
+        (bad_hour, (f"droopkit: hours CSV row {bad_hour!r}: hour 'x' is not an integer\n",)),
+        (bad_wind, (f"droopkit: hours CSV row {bad_wind!r}: wind_mw 'abc' is not a number\n",)),
+    ):
+        hours_file.write_text("\n".join(lines[:2] + [row] + lines[3:]) + "\n")
+        rc = main(["market-loop", "--grid", str(grid_file), "--hours", str(hours_file),
+                   "--policy", "equal", "--out", str(out)])
+        _assert_one_line_usage_error(rc, capsys, *needles)
     assert not out.exists()
 
 
@@ -414,6 +437,12 @@ def test_malformed_grid_json_exits_one_naming_field(tmp_path, island, capsys, fi
     assert not out.exists()
 
 
+def _drop_node(network: dict, node: str) -> None:
+    """Remove ``node`` and its edges from a grid file's network."""
+    network["nodes"].remove(node)
+    network["edges"] = [e for e in network["edges"] if node not in e[:2]]
+
+
 @pytest.mark.parametrize(
     "message, poison",
     [
@@ -427,6 +456,20 @@ def test_malformed_grid_json_exits_one_naming_field(tmp_path, island, capsys, fi
          lambda doc: doc["network"].update(grounded_node=["a"])),
         ("grid field 'network.edges' must be a list of [node, node, susceptance] triples",
          lambda doc: doc["network"]["edges"][0].__setitem__(2, [1])),
+        ("droopkit: converter DE: set-point exceeds limit (|0.972973| > 0.95 pu)\n",
+         lambda doc: doc["converters"][1].update(p_ref_mw=1800.0)),
+        ("droopkit: converter DE: set-point exceeds limit (|0.972973| > 0.95 pu); "
+         "converter NO: set-point exceeds limit (|0.972973| > 0.95 pu)\n",
+         lambda doc: doc["converters"][1].update(p_ref_mw=1800.0)
+         or doc["converters"][4].update(p_ref_mw=1800.0)),
+        ("droopkit: converter DE not present in network\n",
+         lambda doc: _drop_node(doc["network"], "DE")),
+        ("droopkit: wind node WF2 not present in network\n",
+         lambda doc: _drop_node(doc["network"], "WF2")),
+        ("droopkit: wind injection at WF1 must be non-negative\n",
+         lambda doc: doc["wind"][0].update(p_mw=-10.0)),
+        ("droopkit: network is disconnected\n",
+         lambda doc: doc["network"]["edges"].__delitem__(-1)),
     ],
 )
 def test_mistyped_grid_field_exits_one_naming_it(tmp_path, island, capsys, message, poison):

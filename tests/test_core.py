@@ -109,8 +109,7 @@ def test_core_types_immutable(island):
 
 
 def test_validate_clean_island(island):
-    report = validate_scenario(island)
-    assert report.ok and not report.warnings
+    assert validate_scenario(island) is None
 
 
 def test_validate_duplicate_id(island):
@@ -125,23 +124,16 @@ def test_validate_setpoint_beyond_limit(island):
     scen = dataclasses.replace(
         island, converters=island.converters[:1] + (bad,) + island.converters[2:]
     )
-    report = validate_scenario(scen)
-    assert any("set-point exceeds limit" in e for e in report.errors)
+    with pytest.raises(ScenarioError, match="set-point exceeds limit"):
+        validate_scenario(scen)
 
 
 def test_validate_disconnected_network():
     base = SystemBase(100.0)
     conv = (Converter("a", 100.0, 0.0), Converter("b", 100.0, 0.0))
     net = NetworkGraph(nodes=("a", "b"), edges=())
-    report = validate_scenario(GridScenario(base, conv, (), net))
-    assert any("disconnected" in e for e in report.errors)
-
-
-def test_validate_imbalance_is_warning_not_error(island):
-    skew = dataclasses.replace(island, wind_injections=(("WF1", 1.0),))
-    report = validate_scenario(skew)
-    assert report.ok
-    assert any("imbalance" in w for w in report.warnings)
+    with pytest.raises(ScenarioError, match="disconnected"):
+        validate_scenario(GridScenario(base, conv, (), net))
 
 
 def _screen_with_nan_set_point(island):
@@ -167,6 +159,16 @@ def _screen_with_nan_set_point(island):
                  "edge (a, b) susceptance must be finite, got inf", id="susceptance"),
     pytest.param(lambda island: dataclasses.replace(island, wind_injections=(("WF1", math.nan),)),
                  "wind injection at WF1 must be finite, got nan", id="wind"),
+    pytest.param(lambda island: dataclasses.replace(
+        island, network=NetworkGraph(("UK", "island"), (("UK", "island", 10.0),))),
+        "converter DE not present in network", id="converter-node"),
+    pytest.param(lambda island: dataclasses.replace(island, wind_injections=(("WF9", 0.5),)),
+                 "wind node WF9 not present in network", id="wind-node"),
+    pytest.param(lambda island: dataclasses.replace(island, wind_injections=(("WF2", -0.5),)),
+                 "wind injection at WF2 must be non-negative", id="negative-wind"),
+    pytest.param(lambda island: is_secure(DroopAssignment(np.array([1e20] + [1e-5] * 5)), island),
+                 "converter UK: inverse droop gain x=1e+20 leaves no surviving stiffness",
+                 id="surviving-stiffness-is_secure"),
 ])
 def test_non_finite_field_raises_naming_it(island, build, message):
     with pytest.raises(ScenarioError, match=re.escape(message)):

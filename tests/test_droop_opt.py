@@ -125,6 +125,30 @@ def test_digit_expansion_round_trip(units, psi):
     assert back == pytest.approx(value, rel=1e-12, abs=10.0**psi * 1e-9)
 
 
+_SIGNED_MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99), st.integers(-300, 299)),
+)
+
+
+@st.composite
+def _vectors_with_repeats(draw):
+    pool = draw(st.lists(_SIGNED_MAGNITUDES, min_size=1, max_size=4))
+    values = st.one_of(st.sampled_from(pool), _SIGNED_MAGNITUDES)
+    return np.array(draw(st.lists(values, min_size=1, max_size=8)))
+
+
+@settings(max_examples=300)
+@given(_vectors_with_repeats())
+def test_pair_distance_matches_triu_indices_bit_for_bit(x):
+    # the formula pair_distance used before, kept as the reference: the same
+    # upper-triangle entries in the same order give the same float sum
+    diffs = np.abs(x[:, None] - x[None, :])
+    reference = float(diffs[np.triu_indices(x.size, k=1)].sum())
+    assert np.float64(pair_distance(x)).tobytes() == np.float64(reference).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # MILP structure
 # ---------------------------------------------------------------------------
