@@ -39,7 +39,6 @@ from .dynamics import (
     simulate,
 )
 from .market import (
-    BidSegment,
     HourScenario,
     PlanningRun,
     clear_market,

@@ -34,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fixtures
 from .core import (
     DEFAULT_F_NOM_HZ,
     DEFAULT_OMEGA_REF,
@@ -305,18 +304,8 @@ def hours_from_csv(text: str, link_ids: tuple[str, ...]) -> list[HourScenario]:
             raise
         if not all(map(math.isfinite, [wind, *caps])):
             raise ScenarioError(f"hours CSV hour {hour}: wind_mw and cap_* must be finite")
-        caps = np.array(caps)
-        fixture = cells[2 + len(link_ids)]
-        hours.append(
-            HourScenario(
-                hour=hour,
-                wind_mw=wind,
-                link_ids=link_ids,
-                offered_mw=caps,
-                bids=fixtures.bid_curves(fixture, hour, link_ids, caps),
-                bid_fixture=fixture,
-            )
-        )
+        hours.append(HourScenario(hour=hour, wind_mw=wind, link_ids=link_ids,
+                                  offered_mw=caps, bid_fixture=cells[-1]))
     return hours
 
 

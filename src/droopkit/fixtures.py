@@ -2,9 +2,9 @@
 
 The island mirrors the offshore-hub setting: six 1850 MVA grid-forming
 converters on one artificial island, star collection network, three
-aggregated wind-farm nodes.  Market quantities (bid prices, wind profile)
-are synthetic; results derived from them are fixture-relative, not field
-data.
+aggregated wind-farm nodes.  Market quantities (the wind profile here, the
+bid fixtures' prices in ``droopkit.market``) are synthetic; results derived
+from them are fixture-relative, not field data.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import Converter, GridScenario, SystemBase
-from .market import BidSegment, HourScenario
+from .market import HourScenario
 
 COUNTRIES = ("UK", "DE", "NL", "DK", "NO", "BE")
 WIND_NODES = ("WF1", "WF2", "WF3")
@@ -27,8 +27,6 @@ F_NOM_HZ = 50.0
 #: Flows (MW) of the critical loaded hour: the UK link heavily loaded at
 #: 1740 MW, strong exports elsewhere, Norway lightly loaded.
 HOUR3_FLOWS_MW = (1740.0, 950.0, 950.0, 950.0, 400.0, 950.0)
-
-_BASE_PRICE = {"UK": 62.0, "DE": 55.0, "NL": 52.0, "DK": 49.0, "NO": 45.0, "BE": 58.0}
 
 
 def island_base() -> SystemBase:
@@ -55,34 +53,6 @@ def island_scenario(p_ref_mw: tuple[float, ...] | list[float] | None = None) -> 
     return GridScenario.with_star_network(base, converters, wind)
 
 
-def bid_curves(
-    fixture_id: str, hour: int, link_ids: tuple[str, ...], offered_mw: np.ndarray
-) -> tuple[tuple[BidSegment, ...], ...]:
-    """Deterministic per-link bid curves for a named fixture.
-
-    "flat" prices every link identically; "diurnal" layers a daily swing on
-    country base prices.  Curves are two descending segments sized from the
-    offered capacity.
-    """
-    curves = []
-    for j, cid in enumerate(link_ids):
-        if fixture_id == "flat":
-            price = 50.0
-        elif fixture_id == "diurnal":
-            base = _BASE_PRICE.get(cid, 50.0)
-            price = base + 8.0 * math.sin(2.0 * math.pi * (hour % 24) / 24.0 + 0.4 * j)
-        else:
-            raise ValueError(f"unknown bid fixture {fixture_id!r}")
-        cap = float(offered_mw[j])
-        curves.append(
-            (
-                BidSegment(quantity_mw=0.6 * cap, price_eur_mwh=price),
-                BidSegment(quantity_mw=0.4 * cap, price_eur_mwh=0.55 * price),
-            )
-        )
-    return tuple(curves)
-
-
 def year_hours(n_hours: int = 8760, seed: int = 20300) -> list[HourScenario]:
     """Synthetic hourly market year with a seasonal, noisy wind profile.
 
@@ -95,14 +65,6 @@ def year_hours(n_hours: int = 8760, seed: int = 20300) -> list[HourScenario]:
         seasonal = 4200.0 + 2800.0 * math.sin(2.0 * math.pi * h / 8760.0 * 4.0 + 1.0)
         diurnal = 900.0 * math.sin(2.0 * math.pi * (h % 24) / 24.0)
         wind = float(np.clip(seasonal + diurnal + rng.uniform(-1400.0, 1400.0), 0.0, 9000.0))
-        hours.append(
-            HourScenario(
-                hour=h,
-                wind_mw=wind,
-                link_ids=COUNTRIES,
-                offered_mw=offered,
-                bids=bid_curves("diurnal", h, COUNTRIES, offered),
-                bid_fixture="diurnal",
-            )
-        )
+        hours.append(HourScenario(hour=h, wind_mw=wind, link_ids=COUNTRIES,
+                                  offered_mw=offered, bid_fixture="diurnal"))
     return hours

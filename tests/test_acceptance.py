@@ -286,8 +286,7 @@ def test_c7_capacity_loop_and_year_properties():
     hour3 = fixtures.year_hours(n_hours=1, seed=0)[0]
     hour3 = type(hour3)(
         hour=3, wind_mw=float(offered.sum()), link_ids=fixtures.COUNTRIES,
-        offered_mw=offered, bids=fixtures.bid_curves("diurnal", 3, fixtures.COUNTRIES, offered),
-        bid_fixture="diurnal",
+        offered_mw=offered, bid_fixture="diurnal",
     )
     rec_eq = plan_hour(island, hour3, policy="equal")
     rec_ad = plan_hour(island, hour3, policy="adaptive")

@@ -72,7 +72,8 @@ def test_hours_csv_round_trip():
     assert len(back) == 4
     assert back[2].wind_mw == pytest.approx(hours[2].wind_mw, rel=1e-12)
     assert np.allclose(back[0].offered_mw, hours[0].offered_mw)
-    assert back[0].bids == hours[0].bids
+    assert [h.bid_fixture for h in back] == [h.bid_fixture for h in hours]
+    assert [h.merit_order for h in back] == [h.merit_order for h in hours]
 
 
 def test_solve_droops_writes_solution_and_exit_zero(grid_file, tmp_path, island):
@@ -402,11 +403,13 @@ def test_market_loop_short_hours_row_exits_one(grid_file, hours_file, tmp_path, 
     cells = lines[2].split(",")
     bad_hour = ",".join(["x"] + cells[1:])
     bad_wind = ",".join(cells[:1] + ["abc"] + cells[2:])
+    bad_fixture = ",".join(cells[:-1] + ["dinural"])
     out = tmp_path / "out"
     for row, needles in (
         ("1,2", ("hours CSV row '1,2'", "2 cells, expected 9")),
         (bad_hour, (f"droopkit: hours CSV row {bad_hour!r}: hour 'x' is not an integer\n",)),
         (bad_wind, (f"droopkit: hours CSV row {bad_wind!r}: wind_mw 'abc' is not a number\n",)),
+        (bad_fixture, ("droopkit: hour 1: unknown bid fixture 'dinural'\n",)),
     ):
         hours_file.write_text("\n".join(lines[:2] + [row] + lines[3:]) + "\n")
         rc = main(["market-loop", "--grid", str(grid_file), "--hours", str(hours_file),

@@ -9,7 +9,6 @@ from droopkit.core import DroopAssignment, ScenarioError
 from droopkit.droop_opt import (DroopSolution, SolverError, StiffnessError, build_exact_problem,
                                equal_gains_test)
 from droopkit.market import (
-    BidSegment,
     HourRecord,
     HourScenario,
     clear_market,
@@ -22,17 +21,11 @@ from droopkit.security import (VIOLATION_TOL, is_secure, post_fault_excess,
 from tests.conftest import scenario_with_flows
 
 
-def make_hour(offered, wind, hour=0, prices=None):
+def make_hour(offered, wind, hour=0, fixture="flat"):
     offered = np.asarray(offered, dtype=float)
     links = fixtures.COUNTRIES[: offered.size]
-    if prices is None:
-        prices = [60.0 - 2.0 * j for j in range(offered.size)]
-    bids = tuple(
-        (BidSegment(quantity_mw=float(cap), price_eur_mwh=float(price)),)
-        for cap, price in zip(offered, prices)
-    )
-    return HourScenario(hour=hour, wind_mw=float(wind), link_ids=links,
-                        offered_mw=offered, bids=bids)
+    return HourScenario(hour=hour, wind_mw=float(wind), link_ids=links, offered_mw=offered,
+                        bid_fixture=fixture)
 
 
 # ---------------------------------------------------------------------------
@@ -67,41 +60,79 @@ def test_single_link_capacity_binds():
 
 
 def test_equal_price_tie_fills_lower_index_first():
-    hour = make_hour([500.0, 500.0], wind=600.0, prices=[50.0, 50.0])
+    hour = make_hour([500.0, 500.0], wind=400.0)
     flows = clear_market(hour)
-    assert flows[0] == 500.0 and flows[1] == pytest.approx(100.0)
-
-
-def test_non_positive_prices_never_clear():
-    hour = make_hour([500.0, 500.0], wind=900.0, prices=[50.0, 0.0])
-    flows = clear_market(hour)
-    assert flows[0] == 500.0 and flows[1] == 0.0
+    assert flows[0] == pytest.approx(300.0) and flows[1] == pytest.approx(100.0)
 
 
 def test_wind_budget_shared_by_price_order():
-    hour = make_hour([400.0, 400.0, 400.0], wind=700.0, prices=[40.0, 60.0, 50.0])
+    # at hour 22 the diurnal NL price (54.18) tops DE's (54.01), so NL fills first
+    hour = make_hour([400.0, 400.0, 400.0], wind=700.0, hour=22, fixture="diurnal")
+    assert hour.merit_order[0][:3] == (0, 2, 1)
     flows = clear_market(hour)
-    assert flows[1] == 400.0 and flows[2] == 300.0 and flows[0] == 0.0
-
-
-def test_empty_bid_curve_clears_nothing():
-    hour = HourScenario(hour=0, wind_mw=500.0, link_ids=("UK", "DE"),
-                        offered_mw=np.array([300.0, 300.0]),
-                        bids=((), (BidSegment(100.0, 40.0),)))
-    flows = clear_market(hour)
-    assert flows[0] == 0.0 and flows[1] == 100.0
+    assert flows.tolist() == pytest.approx([240.0, 220.0, 240.0])
 
 
 def test_multi_segment_curve_fills_in_price_order():
-    bids = (
-        (BidSegment(200.0, 70.0), BidSegment(200.0, 30.0)),
-        (BidSegment(300.0, 50.0),),
-    )
-    hour = HourScenario(hour=0, wind_mw=600.0, link_ids=("UK", "DE"),
-                        offered_mw=np.array([400.0, 300.0]), bids=bids)
+    hour = make_hour([400.0, 300.0], wind=500.0)
     flows = clear_market(hour)
-    # 70-priced segment first, then the 50, then the leftover 30-priced one
-    assert flows[0] == pytest.approx(300.0) and flows[1] == pytest.approx(300.0)
+    # both 0.6 segments first (240 + 180), then 80 of UK's 0.4 segment
+    assert flows[0] == pytest.approx(320.0) and flows[1] == pytest.approx(180.0)
+
+
+@pytest.mark.parametrize("fixture", ["x", "", "Flat"])
+def test_hour_rejects_an_unknown_bid_fixture(fixture):
+    with pytest.raises(ScenarioError, match=f"^hour 0: unknown bid fixture {fixture!r}$"):
+        make_hour([800.0] * 6, wind=1000.0, fixture=fixture)
+
+
+def _reference_merit_order(fixture, hour, link_ids, offered):
+    """The merit order as each hour once built it: two bid segments per link
+    (0.6 of the offer at the fixture's price, 0.4 at 0.55 times it), sorted by
+    descending price, then link and segment, keeping positive prices and
+    quantities."""
+    base_price = {"UK": 62.0, "DE": 55.0, "NL": 52.0, "DK": 49.0, "NO": 45.0, "BE": 58.0}
+    curves = []
+    for j, cid in enumerate(link_ids):
+        if fixture == "flat":
+            price = 50.0
+        else:
+            base = base_price.get(cid, 50.0)
+            price = base + 8.0 * math.sin(2.0 * math.pi * (hour % 24) / 24.0 + 0.4 * j)
+        cap = float(offered[j])
+        curves.append(((0.6 * cap, price), (0.4 * cap, 0.55 * price)))
+    order = sorted([
+        (-price, li, si, qty)
+        for li, curve in enumerate(curves)
+        for si, (qty, price) in enumerate(curve)
+        if price > 0 and qty > 0
+    ])
+    return tuple([o[1] for o in order]), tuple([o[3] for o in order])
+
+
+@st.composite
+def bid_hours(draw):
+    """1 to 8 links, some without a base price, with offers of 0, subnormals
+    and up to 1e300, at hours on both sides of 0."""
+    links = tuple(draw(st.lists(st.sampled_from(fixtures.COUNTRIES + ("XX", "A", "B", "C")),
+                                min_size=1, max_size=8, unique=True)))
+    offer = (st.sampled_from([0.0, 5e-324, 1e-310, 1e300, 1700.0])
+             | st.floats(0.0, 1e300, allow_subnormal=True))
+    offered = draw(st.lists(offer, min_size=len(links), max_size=len(links)))
+    return (draw(st.sampled_from(["flat", "diurnal"])), draw(st.integers(-10**6, 10**6)),
+            links, offered)
+
+
+@given(bid_hours())
+@settings(max_examples=400, deadline=None)
+def test_merit_order_matches_the_bid_curve_reference_bit_for_bit(bid_hour):
+    fixture, h, links, offered = bid_hour
+    hour = HourScenario(hour=h, wind_mw=0.0, link_ids=links, offered_mw=offered,
+                        bid_fixture=fixture)
+    got_links, got_qty = hour.merit_order
+    want_links, want_qty = _reference_merit_order(fixture, h, links, offered)
+    assert got_links == want_links
+    assert [q.hex() for q in got_qty] == [q.hex() for q in want_qty]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +147,6 @@ def hour3_hour():
         wind_mw=float(offered.sum()),
         link_ids=fixtures.COUNTRIES,
         offered_mw=offered,
-        bids=fixtures.bid_curves("diurnal", 3, fixtures.COUNTRIES, offered),
         bid_fixture="diurnal",
     )
 
@@ -214,8 +244,7 @@ def _per_hour_error(island, hours, **kwargs):
 
 def _wrong_links_hour(hour):
     return HourScenario(hour=hour, wind_mw=1000.0, link_ids=fixtures.COUNTRIES[::-1],
-                        offered_mw=np.full(6, 800.0),
-                        bids=make_hour([800.0] * 6, wind=1000.0).bids)
+                        offered_mw=np.full(6, 800.0), bid_fixture="flat")
 
 
 _GOOD = make_hour([800.0] * 6, wind=1000.0, hour=0)
@@ -403,7 +432,6 @@ def market_hours(draw, heavy=False):
     h = draw(st.integers(0, 23))
     fixture = draw(st.sampled_from(["diurnal", "flat"]))
     return HourScenario(hour=h, wind_mw=wind, link_ids=fixtures.COUNTRIES, offered_mw=offered,
-                        bids=fixtures.bid_curves(fixture, h, fixtures.COUNTRIES, offered),
                         bid_fixture=fixture)
 
 
