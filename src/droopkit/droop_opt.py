@@ -5,7 +5,9 @@ Three solver routes are provided and cross-validate each other:
 * ``solve_exact_oracle`` — the nonconvex post-fault constraints become exact
   linear rows after multiplying through by the surviving stiffness, so the
   whole problem is a plain LP.  Globally optimal, fast, and the ground truth
-  for everything else.
+  for everything else.  A closed-form screen reports an instance infeasible
+  without the LP when some outage's post-fault shares cannot sum to one
+  within the survivors' limits and gain floors.
 * ``build_milp`` + backend "highs" — the digit-expansion MILP: the reciprocal
   of surviving stiffness and its products with the gains are linearized by
   expanding one factor into decimal digits selected by one-hot binaries.
@@ -25,6 +27,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -154,19 +157,25 @@ class DroopSolution:
 # ---------------------------------------------------------------------------
 
 
-def _limit_rows(problem: DroopProblem):
+def _limit_rows(n: int):
     """The N-1 limits ``|p_i + z_ki p_k| <= p_max,i`` as flat arrays ``(k, i, a, b)``.
 
     Per ordered pair (k, i != k), outage-major, an upper row ``a = p_k, b =
-    p_max,i - p_i`` precedes a lower row ``a = -p_k, b = p_max,i + p_i``.  On the
-    share ``z_ki`` a row reads ``a z_ki <= b``; multiplied through by the
-    surviving stiffness, on the gains it reads ``a x_i + b x_k <= b alpha``.
+    p_max,i - p_i`` precedes a lower row ``a = -p_k, b = p_max,i + p_i``; ``a``
+    and ``b`` are given as indices into ``_lp_values``.  On the share ``z_ki``
+    a row reads ``a z_ki <= b``; multiplied through by the surviving
+    stiffness, on the gains it reads ``a x_i + b x_k <= b alpha``.
     """
-    p, pmax = problem.p_ref, problem.p_max
-    k, i = np.nonzero(~np.eye(problem.n, dtype=bool))
-    a = np.column_stack([p[k], -p[k]]).ravel()
-    b = np.column_stack([pmax[i] - p[i], pmax[i] + p[i]]).ravel()
+    k, i = np.nonzero(~np.eye(n, dtype=bool))
+    a = np.column_stack([k, n + k]).ravel()
+    b = np.column_stack([2 * n + i, 3 * n + i]).ravel()
     return np.repeat(k, 2), np.repeat(i, 2), a, b
+
+
+def _lp_values(problem: DroopProblem) -> np.ndarray:
+    """``(p, -p, p_max - p, p_max + p, 1, -1)``: every entry of the exact LP's matrix."""
+    p, pmax = problem.p_ref, problem.p_max
+    return np.concatenate((p, -p, pmax - p, pmax + p, (1.0, -1.0)))
 
 
 def _epigraph_rows(n: int):
@@ -177,6 +186,45 @@ def _epigraph_rows(n: int):
     i, c = np.triu_indices(n, k=1)
     m = np.arange(i.size)
     return np.repeat(i, 2), np.repeat(c, 2), np.repeat(m, 2), np.tile([1.0, -1.0], i.size)
+
+
+@cache
+def _lp_pattern(n: int, face: bool):
+    """The matrix pattern of ``_exact_lp`` for n gains, with or without the face row.
+
+    Returns ``(source, bound, col, index, start, c)``.  The entries run in
+    (column, row) order, as in CSC: entry e sits in column ``col[e]`` and row
+    ``index[e]`` and holds ``_lp_values(problem)[source[e]]``.  The limit
+    rows' upper bounds are alpha times the values at ``bound``, ``start``
+    holds the column starts with every entry kept, and ``c`` is the cost.
+    All are read-only.
+    """
+    lk, li, la, lb = _limit_rows(n)
+    ei, ec, em, es = _epigraph_rows(n)
+    one, minus_one = 4 * n, 4 * n + 1  # where _lp_values holds 1 and -1
+    nv = n + n * (n - 1) // 2
+    limit, epigraph = np.arange(la.size), la.size + np.arange(es.size)
+    cols = [li, lk, ei, ec, n + em]
+    rows = [limit, limit, epigraph, epigraph, epigraph]
+    source = [la, lb, np.where(es > 0, one, minus_one), np.where(es > 0, minus_one, one),
+              np.full(es.size, minus_one)]
+    if face:
+        cols.append(np.arange(n, nv))
+        rows.append(np.full(nv - n, la.size + es.size))
+        source.append(np.full(nv - n, one))
+    cols.append(np.arange(n))
+    rows.append(np.full(n, la.size + es.size + face))
+    source.append(np.full(n, one))
+    col, row, source = (np.concatenate(parts) for parts in (cols, rows, source))
+    order = np.lexsort((row, col))
+    start = np.zeros(nv + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=nv), out=start[1:])
+    c = np.zeros(nv)
+    c[n:] = 1.0
+    pattern = (source[order], lb, col[order], row[order].astype(np.int32), start, c)
+    for array in pattern:
+        array.flags.writeable = False
+    return pattern
 
 
 def _exact_lp(problem: DroopProblem, face: float | None = None):
@@ -190,40 +238,28 @@ def _exact_lp(problem: DroopProblem, face: float | None = None):
     last.  Returns ``(c, start, index, value, row_lo, row_hi, col_lo, col_hi)``:
     the matrix in CSC sorted by (column, row) with no stored zeros, exactly as
     ``linprog`` hands it to HiGHS, and ``±kHighsInf`` for a missing bound.
+    Only the values are filled per call; the pattern is ``_lp_pattern``'s.
     """
     n, alpha = problem.n, problem.alpha
-    lk, li, la, lb = _limit_rows(problem)
-    ei, ec, em, es = _epigraph_rows(n)
-    nv = n + n * (n - 1) // 2
-    limit, epigraph = np.arange(la.size), la.size + np.arange(es.size)
-    cols = [li, lk, ei, ec, n + em]
-    rows = [limit, limit, epigraph, epigraph, epigraph]
-    vals = [la, lb, es, -es, np.full(es.size, -1.0)]
-    row_hi = [lb * alpha, np.zeros(es.size)]
-    if face is not None:
-        cols.append(np.arange(n, nv))
-        rows.append(np.full(nv - n, la.size + es.size))
-        vals.append(np.ones(nv - n))
-        row_hi.append([face])
-    n_le = sum(len(r) for r in row_hi)
-    cols.append(np.arange(n))
-    rows.append(np.full(n, n_le))
-    vals.append(np.ones(n))
-    col, row, val = (np.concatenate(parts) for parts in (cols, rows, vals))
-    keep = val != 0.0
-    col, row, val = col[keep], row[keep], val[keep]
-    order = np.lexsort((row, col))
-    start = np.zeros(nv + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col, minlength=nv), out=start[1:])
+    source, bound, col, index, start, c = _lp_pattern(n, face is not None)
+    values = _lp_values(problem)
+    value = values[source]
+    keep = value != 0.0
+    if not keep.all():  # dropping zeros after the sort keeps it: no (column, row) repeats
+        value, index = value[keep], index[keep]
+        start = np.zeros_like(start)
+        np.cumsum(np.bincount(col[keep], minlength=c.size), out=start[1:])
 
-    c = np.zeros(nv)
-    c[n:] = 1.0
-    row_lo = np.full(n_le + 1, -_highs.kHighsInf)
-    row_lo[-1] = alpha
-    col_lo, col_hi = np.zeros(nv), np.full(nv, _highs.kHighsInf)
+    n_rows = bound.size + n * (n - 1) + (face is not None) + 1  # limit, epigraph, face, sum
+    row_lo = np.full(n_rows, -_highs.kHighsInf)
+    row_hi = np.zeros(n_rows)
+    row_lo[-1] = row_hi[-1] = alpha
+    row_hi[:bound.size] = values[bound] * alpha
+    if face is not None:
+        row_hi[-2] = face
+    col_lo, col_hi = np.zeros(c.size), np.full(c.size, _highs.kHighsInf)
     col_lo[:n], col_hi[:n] = problem.x_min, problem.x_upper
-    return (c, start, row[order].astype(np.int32), val[order], row_lo,
-            np.append(np.concatenate(row_hi), alpha), col_lo, col_hi)
+    return c, start, index, value, row_lo, row_hi, col_lo, col_hi
 
 
 # The options ``linprog(method="highs")`` sets; every other option keeps its default.
@@ -241,16 +277,30 @@ _LP_CHECK_TOL = math.sqrt(1e-9) * 10
 _INFEASIBLE = (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError)
 
 
+@cache
+def _solver(options):
+    """The HiGHS instance that solves every LP under ``options``, built at first use.
+
+    One instance serves every LP: ``passModel`` replaces its model and clears
+    the previous model's basis and solution, so no LP sees the one before it.
+    Solves therefore must not run in two threads at once.
+    """
+    highs = _highs._Highs()
+    highs.passOptions(options)
+    return highs
+
+
 def _highs_lp(c, start, index, value, row_lo, row_hi, col_lo, col_hi, what: str):
     """Minimize ``c @ x`` over ``row_lo <= a @ x <= row_hi``, ``col_lo <= x <= col_hi``.
 
     ``a`` is given column-wise by its CSC arrays ``start``, ``index`` and
-    ``value``, and infinite bounds are ``±kHighsInf``.  A fresh HiGHS model
-    gets the options ``linprog(method="highs")`` sets, and an optimum is kept
-    only if it passes ``linprog``'s feasibility check, so the answer is
-    ``linprog``'s without its per-call wrapper work.  Returns ``(x, fun)`` at
-    an optimum and None when HiGHS reports the LP infeasible; any other
-    outcome raises ``SolverError`` naming ``what`` and the model status.
+    ``value``, and infinite bounds are ``±kHighsInf``.  The model goes to the
+    ``_solver`` of ``_HIGHS_OPTIONS``, the options ``linprog(method="highs")``
+    sets, and an optimum is kept only if it passes ``linprog``'s feasibility
+    check, so the answer is ``linprog``'s without its per-call wrapper work.
+    Returns ``(x, fun)`` at an optimum and None when HiGHS reports the LP
+    infeasible; any other outcome raises ``SolverError`` naming ``what`` and
+    the model status.
     """
     lp = _highs.HighsLp()
     lp.num_row_, lp.num_col_ = row_lo.size, c.size
@@ -264,8 +314,7 @@ def _highs_lp(c, start, index, value, row_lo, row_hi, col_lo, col_hi, what: str)
     lp.col_upper_ = col_hi
     lp.row_lower_ = row_lo
     lp.row_upper_ = row_hi
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs = _solver(_HIGHS_OPTIONS)
     if highs.passModel(lp) == _highs.HighsStatus.kError:
         status = _highs.HighsModelStatus.kModelError
     else:
@@ -289,14 +338,46 @@ def _highs_lp(c, start, index, value, row_lo, row_hi, col_lo, col_hi, what: str)
     raise SolverError(f"{what} failed with HiGHS model status {status.name}")
 
 
+#: Least excess, in the LP rows' own units, that the closed-form screen must
+#: show some row keeps at every point before it calls an instance infeasible:
+#: ten times HiGHS's feasibility tolerance of 1e-7, so a borderline instance
+#: still goes to the LP.
+_SCREEN_MARGIN = 1e-6
+
+
+def _shares_out_of_reach(problem: DroopProblem) -> bool:
+    """Whether some outage leaves its survivors no post-fault shares, so the LP is infeasible.
+
+    When converter k with ``p_k != 0`` trips, survivor i takes the share
+    ``z_ki = x_i / (alpha - x_k)`` of ``p_k``.  The shares sum to 1, each is
+    at least ``x_min,i / (alpha - x_min,k)``, and the limit rows cap each at
+    ``(p_max,i - sign(p_k) p_i) / |p_k|``; caps that sum to less than 1, or a
+    cap below its floor, leave no gains.  Both tests are multiplied through by
+    ``|p_k|`` (a subnormal set-point would overflow a cap).  A shortfall times
+    the mean gain floor of the survivors bounds from below the excess of some
+    LP row at every point, and only one above ``_SCREEN_MARGIN`` counts.
+    """
+    p, p_max, x_min = problem.p_ref, problem.p_max, problem.x_min
+    survivor = ~np.eye(problem.n, dtype=bool)
+    load = np.abs(p)
+    headroom = p_max - np.sign(p)[:, None] * p  # [k, i]: |p_k| times the cap on z_ki
+    floor = load[:, None] * (x_min / (problem.alpha - x_min)[:, None])
+    shortfall = np.maximum(
+        load - headroom.sum(axis=1, where=survivor),
+        np.max(floor - headroom, axis=1, where=survivor, initial=-np.inf))
+    mean_floor = (float(x_min.sum()) - x_min) / (problem.n - 1)
+    return bool(np.any(shortfall * mean_floor > _SCREEN_MARGIN))
+
+
 def solve_exact_oracle(problem: DroopProblem, tie_break: bool = True) -> DroopSolution:
     """Globally optimal solve of the exact gain-selection problem.
 
     The all-equal point ``alpha/n`` is the unique zero of the objective, so
-    when it is within bounds and N-1 secure it is returned without an LP.
-    Otherwise, among alternate optima a secondary solve minimizes an
-    index-weighted sum of the gains over the optimal face, so repeated runs
-    and symmetric instances yield one reproducible vertex.
+    when it is within bounds and N-1 secure it is returned without an LP, and
+    an instance that ``_shares_out_of_reach`` shows infeasible is reported so
+    without one.  Otherwise, among alternate optima a secondary solve
+    minimizes an index-weighted sum of the gains over the optimal face, so
+    repeated runs and symmetric instances yield one reproducible vertex.
     """
     n = problem.n
     equal, ok, residual = equal_gains_test(problem.alpha, problem.x_min, problem.p_ref,
@@ -305,8 +386,10 @@ def solve_exact_oracle(problem: DroopProblem, tie_break: bool = True) -> DroopSo
         return DroopSolution("optimal", DroopAssignment(equal), 0.0, float(residual),
                              backend="oracle")
 
-    lp = _exact_lp(problem)
-    first = _highs_lp(*lp, what="oracle LP")
+    first = None
+    if not _shares_out_of_reach(problem):
+        lp = _exact_lp(problem)
+        first = _highs_lp(*lp, what="oracle LP")
     if first is None:
         return DroopSolution("infeasible", None, None, 0.0, backend="oracle", note=(
             f"no gains summing to alpha={problem.alpha:.12g} keep every post-fault flow within p_max"))
@@ -574,7 +657,10 @@ def build_milp(problem: DroopProblem) -> MilpModel:
         activation(k, copy, lay.y_x[i])
 
     # recovered linear post-fault limits on the shares
-    limits = [arr.tolist() for arr in _limit_rows(problem)]
+    values = _lp_values(problem)
+    limit_k, limit_i, limit_a, limit_b = _limit_rows(n)
+    limits = [limit_k.tolist(), limit_i.tolist(),
+              values[limit_a].tolist(), values[limit_b].tolist()]
     for k, i, a, b in zip(*limits):
         ub_row([lay.z[k, i]], [a], b)
 

@@ -3,11 +3,12 @@ import itertools
 import math
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from droopkit import droop_opt
@@ -323,6 +324,34 @@ def test_oracle_matches_always_lp_reference(p, tie_break, x_min_offset, p_max):
     )
 
 
+_X_MIN = {"tiny": lambda n: 0.01, "ten": lambda n: 10.0,
+          "near": lambda n: 600.0 / n * (1 - 1e-3), "nearer": lambda n: 600.0 / n * (1 - 1e-9)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1.1e-308, 2.2e-308]),
+                         st.floats(-0.9, 0.92)), min_size=2, max_size=6),
+    slack=st.lists(st.sampled_from([-1e-9, 0.0, 1e-9, 0.3, 2.0]), min_size=6, max_size=6),
+    floors=st.lists(st.sampled_from(sorted(_X_MIN)), min_size=6, max_size=6),
+)
+# dividing by this p_k would overflow a cap of 2.0 / 1.1e-308, a RuntimeWarning here
+@example(p=[0.0, 0.0, 0.0, 1.1e-308], slack=[2.0] * 6, floors=["ten"] * 6)
+def test_closed_form_screen_never_rejects_what_the_lp_solves(p, slack, floors):
+    """Near the boundary: p_max = |p_i| + 0 or +-1e-9, signed zero and subnormal
+    set-points, and gain floors a hair under alpha/n."""
+    n, alpha = len(p), 600.0
+    p_ref = np.array(p)
+    x_min = np.array([_X_MIN[kind](n) for kind in floors[:n]])
+    assume(x_min.sum() < alpha)
+    prob = DroopProblem(alpha=alpha, x_min=x_min, p_ref=p_ref,
+                        p_max=np.maximum(np.abs(p_ref) + slack[:n], 1e-9))
+    screened = droop_opt._shares_out_of_reach(prob)
+    status = _reference_oracle(prob).status
+    event(f"screened {screened}, reference {status}")
+    assert not screened or status == "infeasible"
+
+
 def test_oracle_skips_the_lp_exactly_when_equal_gains_are_secure(monkeypatch):
     class LinprogCalled(Exception):
         pass
@@ -454,6 +483,68 @@ def _highs_options(**fields):
     for name, value in fields.items():
         setattr(options, name, value)
     return options
+
+
+_ITERATION_LIMITED = _highs_options(simplex_iteration_limit=0)
+
+
+def _fresh_solver(options):
+    """A new HiGHS instance for every LP."""
+    highs = droop_opt._highs._Highs()
+    highs.passOptions(options)
+    return highs
+
+
+def _sequence_lp(kind: str, seed: int):
+    """One LP of ``kind`` the oracle or B&B passes ``_highs_lp``, with its options."""
+    rng = np.random.default_rng(seed)
+    if kind == "infeasible":  # every converter fully loaded: no post-fault headroom
+        prob = DroopProblem(alpha=600.0, x_min=np.full(4, 10.0), p_ref=np.full(4, 0.95),
+                            p_max=np.full(4, 0.95))
+        return _exact_lp(prob), droop_opt._HIGHS_OPTIONS
+    if kind == "stopped":  # ANALYTIC's LP needs simplex iterations
+        return _exact_lp(DroopProblem(**ANALYTIC)), _ITERATION_LIMITED
+    prob = random_problem(rng)
+    if kind == "tie-break":
+        c2 = np.zeros(prob.n + prob.n * (prob.n - 1) // 2)
+        c2[:prob.n] = 0.5 ** np.arange(prob.n)
+        return (c2, *_exact_lp(prob, face=rng.uniform(0.0, 400.0))[1:]), droop_opt._HIGHS_OPTIONS
+    lp = _exact_lp(prob)
+    if kind == "node":  # a grid-aligned box per gain, empty when its ends cross
+        q = 10.0**prob.psi
+        lo_u = np.ceil((prob.x_min - 1e-9) / q)
+        span = np.floor((prob.x_upper + 1e-9) / q) - lo_u
+        ends = np.sort(rng.random((prob.n, 2)), axis=1)[:, ::rng.choice([1, -1])]
+        lp[6][:prob.n], lp[7][:prob.n] = (lo_u + np.floor(ends.T * span)) * q
+    return lp, droop_opt._HIGHS_OPTIONS
+
+
+def _solver_outcome(solver, lp, options):
+    with mock.patch.multiple(droop_opt, _solver=solver, _HIGHS_OPTIONS=options):
+        try:
+            res = droop_opt._highs_lp(*lp, what="test LP")
+        except SolverError as exc:
+            return str(exc)
+    return None if res is None else (res[0].tobytes(), res[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.lists(st.tuples(st.sampled_from(["oracle", "tie-break", "node"]),
+                             st.integers(0, 10_000)), max_size=8),
+    infeasible_at=st.integers(0, 8),
+    stopped_at=st.integers(0, 9),
+)
+def test_cached_solver_keeps_no_state_between_lps(steps, infeasible_at, stopped_at):
+    """Each LP of a sequence through the one cached instance gives the status,
+    x bytes and objective of a new instance built for it alone."""
+    steps.insert(infeasible_at, ("infeasible", 0))
+    steps.insert(stopped_at, ("stopped", 0))
+    for kind, seed in steps:
+        lp, options = _sequence_lp(kind, seed)
+        got = _solver_outcome(droop_opt._solver, lp, options)
+        event(f"{kind}: {'infeasible' if got is None else type(got).__name__}")
+        assert got == _solver_outcome(_fresh_solver, lp, options)
 
 
 @pytest.mark.parametrize("backend, what", [("oracle", "oracle LP"), ("bnb", "B&B node LP")])
