@@ -43,7 +43,7 @@ MAX_TRAJECTORY_BYTES = 2**28
 # Largest distance of t/dt from an integer still accepted as on the step grid.
 _GRID_TOL = 1e-6
 # Rows per formatted block of trajectory CSV: big enough to amortise the
-# per-block work, small enough that the Python floats of one block stay small.
+# per-block work, small enough that one block's Python objects stay small.
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -438,20 +438,19 @@ def simulate(
         _check_step_stable(cur.A, phi, dt, start * dt)
         drive = gamma @ g
 
-        count = stop - start + 1
-        states = np.empty((count, 2 * m))
-        x_cur = state
+        states = np.empty((stop - start + 1, 2 * m))
+        states[0] = state
+        buf = np.empty(2 * m)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(count):
-                states[j] = x_cur
-                if j % 256 == 0 and not np.all(np.abs(x_cur) < _DIVERGENCE_LIMIT):
+            # each step writes its successor row in place: no array per step
+            for j, (row, successor) in enumerate(zip(states[:-1], states[1:])):
+                if j % 256 == 0 and not np.all(np.abs(row) < _DIVERGENCE_LIMIT):
                     raise SimulationDiverged(
                         f"state magnitude beyond {_DIVERGENCE_LIMIT:g} at "
                         f"t={(start + j) * dt:g}s; check gains and time step"
                     )
-                if j < count - 1:
-                    x_cur = phi @ x_cur + drive
-        state = x_cur
+                np.add(np.dot(phi, row, out=buf), drive, out=successor)
+        state = states[-1]
         if not np.all(np.abs(state) < _DIVERGENCE_LIMIT):
             raise SimulationDiverged(
                 f"state magnitude beyond {_DIVERGENCE_LIMIT:g} at t={stop * dt:g}s; "
@@ -502,11 +501,27 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     header += [f"freq_pu_{cid}" for cid in traj.converter_ids]
     header += [f"p_pu_{cid}" for cid in traj.converter_ids]
     lines.append(",".join(header))
-    # "%.12g" % float gives the same text as f"{float:.12g}" (nan, inf and -0
-    # included); one format string per block of rows saves a call per cell.
-    table = np.column_stack([traj.time, traj.freq_pu, traj.p_pu])
-    row_fmt = ",".join(["%.12g"] * table.shape[1])
-    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS]
-        lines.append("\n".join([row_fmt] * len(block)) % tuple(block.ravel().tolist()))
-    return "\n".join(lines) + "\n"
+    # A cell's text depends only on its float's bits: "%.12g" % float gives
+    # f"{float:.12g}" (nan, inf and -0 included), and keying on the uint64
+    # bits keeps -0.0 apart from 0.0 and one NaN payload from another.  So
+    # each block formats its distinct values once, in one call, and gathers
+    # its cells from them; trajectories repeat values (settled states, the
+    # NaN and zero columns of a tripped converter), so that is a fraction of
+    # the cells.  Working one block of rows at a time, gathered into one
+    # reused buffer, bounds the writer's memory as MAX_TRAJECTORY_BYTES bounds
+    # simulate's: none of the writer's arrays spans the whole table.
+    parts = ["\n".join(lines) + "\n"]
+    buf = np.empty((min(traj.time.size, _CSV_BLOCK_ROWS), 1 + 2 * len(traj.converter_ids)))
+    for start in range(0, traj.time.size, _CSV_BLOCK_ROWS):
+        rows = slice(start, start + _CSV_BLOCK_ROWS)
+        block = buf[: traj.time[rows].size]
+        np.concatenate([traj.time[rows, None], traj.freq_pu[rows], traj.p_pu[rows]], axis=1,
+                       out=block)
+        bits, inverse = np.unique(block.ravel().view(np.uint64), return_inverse=True)
+        texts = "\n".join(["%.12g"] * bits.size) % tuple(bits.view(np.float64).tolist())
+        cells = np.empty((block.shape[0], 2 * block.shape[1]), dtype=object)
+        cells[:, 0::2] = np.array(texts.split("\n"), dtype=object)[inverse].reshape(block.shape)
+        cells[:, 1::2] = ","
+        cells[:, -1] = "\n"
+        parts.append("".join(cells.ravel().tolist()))
+    return "".join(parts)

@@ -15,12 +15,16 @@ from droopkit.core import (
     SystemBase,
 )
 from droopkit.dynamics import (
+    _CSV_BLOCK_ROWS,
+    _DIVERGENCE_LIMIT,
     ConverterOutage,
     SimulationDiverged,
     Trajectory,
     UnstableModelError,
     WindStep,
+    _check_step_stable,
     _droop_matrices,
+    _equilibrium,
     _grounded_system,
     _rk4_step_matrices,
     assemble_model,
@@ -415,6 +419,37 @@ def test_divergence_guard_fires_on_unstable_step(island, equal600):
         simulate(model, [WindStep(time=0.0, node="WF1", delta_pu=-0.1)], dt=0.2, t_end=400.0)
 
 
+@pytest.mark.parametrize("crossing, message_t", [
+    (1000, "10.24"),  # checked every 256 steps: caught at step 1024
+    (2900, "30"),  # after the last check in the loop at 2816: caught at the segment's end
+])
+def test_divergence_guard_names_first_checked_step_past_the_crossing(
+    island, equal600, monkeypatch, crossing, message_t
+):
+    # After a wind step at t=0 the island settles at a common frequency
+    # deviation, so the angles, and with them the state's largest magnitude,
+    # grow at every step; a guard limit between two steps' magnitudes is
+    # crossed at a known step.
+    model = assemble_model(island, equal600, 0.02)
+    dt, t_end = 1e-2, 30.0
+    wind = np.array([p for _, p in island.wind_injections])
+    x = _equilibrium(model, wind)
+    wind[0] += -0.1
+    g = np.zeros(12)
+    g[6:] = model.k_f * (model.wind_map @ wind - island.p_ref) / model.tau
+    phi, gamma = _rk4_step_matrices(model.A, dt)
+    magnitudes = [np.max(np.abs(x))]
+    for _ in range(3000):
+        x = phi @ x + gamma @ g
+        magnitudes.append(np.max(np.abs(x)))
+    assert np.all(np.diff(magnitudes) > 0)
+    monkeypatch.setattr(
+        dynamics, "_DIVERGENCE_LIMIT", 0.5 * (magnitudes[crossing - 1] + magnitudes[crossing])
+    )
+    with pytest.raises(SimulationDiverged, match=rf"beyond \S+ at t={message_t}s; check gains"):
+        simulate(model, [WindStep(time=0.0, node="WF1", delta_pu=-0.1)], dt=dt, t_end=t_end)
+
+
 def test_frequency_reported_in_hz_too(island, equal600):
     model = assemble_model(island, equal600, 0.02)
     traj = simulate(model, [WindStep(time=0.1, node="WF1", delta_pu=-0.1)], dt=1e-3, t_end=1.0)
@@ -501,6 +536,142 @@ def test_trajectory_byte_bound_is_inclusive(island, equal600, monkeypatch):
         simulate(model, [], dt=1e-2, t_end=1.01)
 
 
+def _reference_simulate(model, events, dt, t_end):
+    """The per-sample stepping simulate replaced; its bytes are the contract.
+
+    Copied with the input checks left out: it is only given valid events.
+    """
+    n_steps = int(round(t_end / dt))
+    n_all = model.scenario.n
+    ordered = sorted(events, key=lambda e: (e.time, isinstance(e, WindStep)))
+
+    all_ids = model.scenario.ids
+    times = np.arange(n_steps + 1) * dt
+    freq = np.full((n_steps + 1, n_all), np.nan)
+    power = np.zeros((n_steps + 1, n_all))
+
+    cur = model
+    wind = np.array([p for _, p in model.scenario.wind_injections], dtype=float)
+    state = _equilibrium(cur, wind)
+
+    breakpoints = [(int(round(e.time / dt)), e) for e in ordered]
+    breakpoints.append((n_steps, None))
+
+    col_of = {cid: j for j, cid in enumerate(all_ids)}
+    start = 0
+    for stop, event in breakpoints:
+        stop = min(max(stop, start), n_steps)
+        scen = cur.scenario
+        m = scen.n
+        lap = cur.L_B
+        eff = cur.wind_map @ wind
+        g = np.zeros(2 * m)
+        g[m:] = cur.k_f * (eff - scen.p_ref) / cur.tau
+        phi, gamma = _rk4_step_matrices(cur.A, dt)
+        _check_step_stable(cur.A, phi, dt, start * dt)
+        drive = gamma @ g
+
+        count = stop - start + 1
+        states = np.empty((count, 2 * m))
+        x_cur = state
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(count):
+                states[j] = x_cur
+                if j % 256 == 0 and not np.all(np.abs(x_cur) < _DIVERGENCE_LIMIT):
+                    raise SimulationDiverged(
+                        f"state magnitude beyond {_DIVERGENCE_LIMIT:g} at "
+                        f"t={(start + j) * dt:g}s; check gains and time step"
+                    )
+                if j < count - 1:
+                    x_cur = phi @ x_cur + drive
+        state = x_cur
+        if not np.all(np.abs(state) < _DIVERGENCE_LIMIT):
+            raise SimulationDiverged(
+                f"state magnitude beyond {_DIVERGENCE_LIMIT:g} at t={stop * dt:g}s; "
+                "check gains and time step"
+            )
+
+        cols = [col_of[cid] for cid in scen.ids]
+        freq[start : stop + 1, cols] = states[:, m:]
+        power[start : stop + 1, cols] = states[:, :m] @ (-lap.T) + eff
+
+        if event is None:
+            break
+        if isinstance(event, WindStep):
+            wind[[node for node, _ in scen.wind_injections].index(event.node)] += event.delta_pu
+        else:
+            gone = scen.converter_index(event.converter_id)
+            keep = [i for i in range(scen.n) if i != gone]
+            survivors = dataclasses.replace(
+                scen, converters=tuple(scen.converters[i] for i in keep)
+            )
+            cur = assemble_model(survivors, DroopAssignment(cur.assignment.x[keep]), cur.tau)
+            # survivors keep their angle and frequency states across the trip;
+            # the sample at the event instant reflects the post-event network
+            state = np.concatenate([state[:m][keep], state[m:][keep]])
+            freq[stop, col_of[event.converter_id]] = np.nan
+            power[stop, col_of[event.converter_id]] = 0.0
+        start = stop
+
+    return Trajectory(
+        time=times,
+        converter_ids=all_ids,
+        freq_pu=freq,
+        p_pu=power,
+        events=tuple(ordered),
+        f_nom_hz=model.scenario.base.f_nom_hz,
+    )
+
+
+@st.composite
+def _simulation_cases(draw):
+    """Gains >= x_min summing to alpha, a dt, a horizon and events on its grid.
+
+    Each shape puts events where segments meet awkwardly: an outage at the
+    first or the last sample, a wind step and an outage at one instant, two
+    outages on consecutive steps; "any" draws up to three events anywhere.
+    """
+    dt = draw(st.sampled_from([1e-3, 5e-3, 1e-2]))
+    n_steps = draw(st.integers(1, 700))
+    shares = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6)))
+    x = 10.0 + shares / shares.sum() * (600.0 - 6 * 10.0)
+    ids = list(fixtures.COUNTRIES)
+    tripped = draw(st.permutations(ids))
+    step = draw(st.integers(0, n_steps))
+    wind = WindStep(step * dt, draw(st.sampled_from(fixtures.WIND_NODES)),
+                    draw(st.floats(-0.2, 0.2)))
+    shape = draw(st.sampled_from(["outage at 0", "outage at end", "wind and outage",
+                                  "outages in a row", "any"]))
+    if shape == "outage at 0":
+        events = [ConverterOutage(0.0, tripped[0]), wind]
+    elif shape == "outage at end":
+        events = [wind, ConverterOutage(n_steps * dt, tripped[0])]
+    elif shape == "wind and outage":
+        events = [ConverterOutage(step * dt, tripped[0]), wind]
+    elif shape == "outages in a row":
+        first = min(step, n_steps - 1)
+        events = [ConverterOutage(first * dt, tripped[0]),
+                  ConverterOutage((first + 1) * dt, tripped[1])]
+    else:
+        steps = draw(st.lists(st.integers(0, n_steps), max_size=3))
+        events = [ConverterOutage(k * dt, cid) for k, cid in zip(steps, tripped)]
+        if draw(st.booleans()):
+            events.append(wind)
+    return x, dt, n_steps * dt, events
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_simulation_cases())
+def test_simulate_bytes_match_per_sample_reference(case):
+    x, dt, t_end, events = case
+    model = assemble_model(fixtures.island_scenario(), DroopAssignment(x), 0.02)
+    got = simulate(model, events, dt=dt, t_end=t_end)
+    want = _reference_simulate(model, events, dt, t_end)
+    for field in ("time", "freq_pu", "p_pu"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert got.events == want.events
+
+
 def _reference_trajectory_csv(traj):
     """The per-cell formatter trajectory_to_csv replaced; its bytes are the contract."""
     lines = []
@@ -524,6 +695,8 @@ def _reference_trajectory_csv(traj):
 _SPECIAL_FLOATS = [
     np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
     1e300, -1.7976931348623157e308, 1e-300, -3.3e-301, 0.1, 1.0 / 3.0, 123456789012.5,
+    # NaNs with a payload, of either sign: bits the writer must not confuse with nan's
+    *np.array([0x7FF0000000000001, 0xFFF0000000000001], dtype=np.uint64).view(np.float64).tolist(),
 ]
 
 
@@ -534,11 +707,22 @@ _SPECIAL_FLOATS = [
     pool=st.lists(st.floats(allow_subnormal=True), max_size=8),
     seed=st.integers(0, 2**32 - 1),
     outage=st.booleans(),
+    distinct=st.booleans(),
+    straddle=st.floats(allow_subnormal=True),
 )
-def test_trajectory_csv_bytes_match_per_cell_reference(rows, n_conv, pool, seed, outage):
+def test_trajectory_csv_bytes_match_per_cell_reference(
+    rows, n_conv, pool, seed, outage, distinct, straddle
+):
     rng = np.random.default_rng(seed)
-    values = np.array(_SPECIAL_FLOATS + pool)
-    freq, power = (rng.choice(values, size=(rows, n_conv)) for _ in range(2))
+    if distinct:  # fresh bits in every cell: no value repeats within a block
+        freq, power = (rng.integers(0, 2**64, size=(rows, n_conv), dtype=np.uint64)
+                       .view(np.float64) for _ in range(2))
+    else:
+        values = np.array(_SPECIAL_FLOATS + pool)
+        freq, power = (rng.choice(values, size=(rows, n_conv)) for _ in range(2))
+    # one value on both sides of a block boundary, formatted once in each block
+    freq[_CSV_BLOCK_ROWS - 1 : _CSV_BLOCK_ROWS + 1] = straddle
+    power[_CSV_BLOCK_ROWS - 1 : _CSV_BLOCK_ROWS + 1, -1] = straddle
     events = (WindStep(time=0.25, node="WF1", delta_pu=-1e-300),)
     if outage:
         freq[rows // 2 :, 0] = np.nan
