@@ -19,6 +19,11 @@ Three solver routes are provided and cross-validate each other:
   integrality of the gains themselves over the exact-LP relaxation, which
   gives far stronger bounds than branching on single digit binaries, and it
   never builds the MILP.
+
+scipy is imported at the first LP, MILP or MILP assembly, through the cached
+loader ``_scipy``, so a caller that never solves (the N-1 screen, the
+equal-gain market loop) never loads it.  The module attributes ``_highs``,
+``_HIGHS_OPTIONS`` and ``linprog`` resolve through the same loader.
 """
 
 from __future__ import annotations
@@ -28,16 +33,16 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import cache
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint
-from scipy.optimize import linprog  # noqa: F401  (patched by the benchmark tracer)
-from scipy.optimize import milp as _highs_milp
-from scipy.optimize._highspy import _core as _highs
 
 from .core import DroopAssignment, GridScenario, ScenarioError, _readonly
 from .security import VIOLATION_TOL, post_fault_excess
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_ALPHA = 600.0
 DEFAULT_PSI = -3
@@ -53,6 +58,41 @@ class StiffnessError(ScenarioError):
 
 class SolverError(RuntimeError):
     """An LP or MILP solve failed, or branch and bound hit its node limit."""
+
+
+@cache
+def _scipy() -> SimpleNamespace:
+    """scipy's solver pieces, imported at the first call.
+
+    ``highs`` is scipy's private HiGHS binding and ``options`` the options
+    ``linprog(method="highs")`` sets, every other option at its default;
+    ``milp``, ``Bounds``, ``LinearConstraint``, ``sparse`` and ``linprog`` are
+    scipy's own.  A scipy without the binding raises ``SolverError``.
+    """
+    try:
+        import scipy.sparse as sparse
+        from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+        from scipy.optimize._highspy import _core as highs
+    except ImportError as exc:
+        raise SolverError(f"LP and MILP solves need scipy's HiGHS binding: {exc}") from exc
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    return SimpleNamespace(highs=highs, options=options, milp=milp, Bounds=Bounds,
+                           LinearConstraint=LinearConstraint, sparse=sparse, linprog=linprog)
+
+
+#: Module attributes served by ``_scipy`` (read by the tests and the benchmark tracer).
+_LAZY_ATTRIBUTES = {"_highs": "highs", "_HIGHS_OPTIONS": "options", "linprog": "linprog"}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_ATTRIBUTES:
+        return getattr(_scipy(), _LAZY_ATTRIBUTES[name])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,7 +277,8 @@ def _exact_lp(problem: DroopProblem, face: float | None = None):
     given, the tie-break row ``sum(t) <= face``; the stiffness-sum row comes
     last.  Returns ``(c, start, index, value, row_lo, row_hi, col_lo, col_hi)``:
     the matrix in CSC sorted by (column, row) with no stored zeros, exactly as
-    ``linprog`` hands it to HiGHS, and ``±kHighsInf`` for a missing bound.
+    ``linprog`` hands it to HiGHS, and ``±inf`` (HiGHS's ``kHighsInf``) for a
+    missing bound.
     Only the values are filled per call; the pattern is ``_lp_pattern``'s.
     """
     n, alpha = problem.n, problem.alpha
@@ -251,30 +292,19 @@ def _exact_lp(problem: DroopProblem, face: float | None = None):
         np.cumsum(np.bincount(col[keep], minlength=c.size), out=start[1:])
 
     n_rows = bound.size + n * (n - 1) + (face is not None) + 1  # limit, epigraph, face, sum
-    row_lo = np.full(n_rows, -_highs.kHighsInf)
+    row_lo = np.full(n_rows, -math.inf)
     row_hi = np.zeros(n_rows)
     row_lo[-1] = row_hi[-1] = alpha
     row_hi[:bound.size] = values[bound] * alpha
     if face is not None:
         row_hi[-2] = face
-    col_lo, col_hi = np.zeros(c.size), np.full(c.size, _highs.kHighsInf)
+    col_lo, col_hi = np.zeros(c.size), np.full(c.size, math.inf)
     col_lo[:n], col_hi[:n] = problem.x_min, problem.x_upper
     return c, start, index, value, row_lo, row_hi, col_lo, col_hi
 
 
-# The options ``linprog(method="highs")`` sets; every other option keeps its default.
-_HIGHS_OPTIONS = _highs.HighsOptions()
-_HIGHS_OPTIONS.presolve = "on"
-_HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-_HIGHS_OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-_HIGHS_OPTIONS.output_flag = False
-_HIGHS_OPTIONS.log_to_console = False
-
 #: ``linprog``'s feasibility check on a reported optimum: sqrt(tol) * 10 at tol = 1e-9.
 _LP_CHECK_TOL = math.sqrt(1e-9) * 10
-
-#: The model statuses ``linprog`` reports as infeasible (its status 2).
-_INFEASIBLE = (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError)
 
 
 @cache
@@ -285,7 +315,7 @@ def _solver(options):
     the previous model's basis and solution, so no LP sees the one before it.
     Solves therefore must not run in two threads at once.
     """
-    highs = _highs._Highs()
+    highs = _scipy().highs._Highs()
     highs.passOptions(options)
     return highs
 
@@ -294,18 +324,21 @@ def _highs_lp(c, start, index, value, row_lo, row_hi, col_lo, col_hi, what: str)
     """Minimize ``c @ x`` over ``row_lo <= a @ x <= row_hi``, ``col_lo <= x <= col_hi``.
 
     ``a`` is given column-wise by its CSC arrays ``start``, ``index`` and
-    ``value``, and infinite bounds are ``±kHighsInf``.  The model goes to the
+    ``value``, and infinite bounds are ``±inf``.  The model goes to the
     ``_solver`` of ``_HIGHS_OPTIONS``, the options ``linprog(method="highs")``
-    sets, and an optimum is kept only if it passes ``linprog``'s feasibility
-    check, so the answer is ``linprog``'s without its per-call wrapper work.
+    sets (one set on the module wins over ``_scipy``'s), and an optimum is
+    kept only if it passes ``linprog``'s feasibility check, so the answer is
+    ``linprog``'s without its per-call wrapper work.
     Returns ``(x, fun)`` at an optimum and None when HiGHS reports the LP
     infeasible; any other outcome raises ``SolverError`` naming ``what`` and
     the model status.
     """
-    lp = _highs.HighsLp()
+    sci = _scipy()
+    h = sci.highs
+    lp = h.HighsLp()
     lp.num_row_, lp.num_col_ = row_lo.size, c.size
     lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = row_lo.size, c.size
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
     lp.a_matrix_.start_ = start
     lp.a_matrix_.index_ = index
     lp.a_matrix_.value_ = value
@@ -314,13 +347,13 @@ def _highs_lp(c, start, index, value, row_lo, row_hi, col_lo, col_hi, what: str)
     lp.col_upper_ = col_hi
     lp.row_lower_ = row_lo
     lp.row_upper_ = row_hi
-    highs = _solver(_HIGHS_OPTIONS)
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
-        status = _highs.HighsModelStatus.kModelError
+    highs = _solver(globals().get("_HIGHS_OPTIONS", sci.options))
+    if highs.passModel(lp) == h.HighsStatus.kError:
+        status = h.HighsModelStatus.kModelError
     else:
-        ran = highs.run() != _highs.HighsStatus.kError
+        ran = highs.run() != h.HighsStatus.kError
         status = highs.getModelStatus()
-        if ran and status == _highs.HighsModelStatus.kOptimal:
+        if ran and status == h.HighsModelStatus.kOptimal:
             solution = highs.getSolution()
             x, rows = np.array(solution.col_value), np.array(solution.row_value)
             fun = highs.getInfo().objective_function_value
@@ -333,7 +366,8 @@ def _highs_lp(c, start, index, value, row_lo, row_hi, col_lo, col_hi, what: str)
                 return x, fun
             raise SolverError(f"{what} failed: HiGHS model status {status.name}, but the "
                               f"point misses a bound or row by more than {tol:.2E}")
-    if status in _INFEASIBLE:
+    # the model statuses ``linprog`` reports as infeasible (its status 2)
+    if status in (h.HighsModelStatus.kInfeasible, h.HighsModelStatus.kModelError):
         return None
     raise SolverError(f"{what} failed with HiGHS model status {status.name}")
 
@@ -547,7 +581,8 @@ class _Rows:
         self.rhs.append(rhs)
 
     def matrix(self, num_vars: int) -> sp.csr_matrix:
-        return sp.coo_matrix((self.v, (self.r, self.c)), shape=(len(self.rhs), num_vars)).tocsr()
+        shape = (len(self.rhs), num_vars)
+        return _scipy().sparse.coo_matrix((self.v, (self.r, self.c)), shape=shape).tocsr()
 
 
 def build_milp(problem: DroopProblem) -> MilpModel:
@@ -877,9 +912,10 @@ def _solve_highs(problem: DroopProblem) -> DroopSolution:
     duration of the call and is restored afterwards.
     """
     model = build_milp(problem)
+    sci = _scipy()
     constraints = [
-        LinearConstraint(model.a_eq, model.b_eq, model.b_eq),
-        LinearConstraint(model.a_ub, -np.inf, model.b_ub),
+        sci.LinearConstraint(model.a_eq, model.b_eq, model.b_eq),
+        sci.LinearConstraint(model.a_ub, -np.inf, model.b_ub),
     ]
     sys.stdout.flush()
     saved_stdout = os.dup(1)
@@ -887,9 +923,9 @@ def _solve_highs(problem: DroopProblem) -> DroopSolution:
     os.dup2(devnull, 1)
     os.close(devnull)
     try:
-        res = _highs_milp(c=model.c, constraints=constraints,
-                          integrality=model.integrality.astype(int),
-                          bounds=Bounds(model.lb, model.ub), options={"mip_rel_gap": 0.0})
+        res = sci.milp(c=model.c, constraints=constraints,
+                       integrality=model.integrality.astype(int),
+                       bounds=sci.Bounds(model.lb, model.ub), options={"mip_rel_gap": 0.0})
     finally:
         os.dup2(saved_stdout, 1)
         os.close(saved_stdout)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .core import DEFAULT_F_NOM_HZ, DroopAssignment, GridScenario, ScenarioError, kron_reduction
 
@@ -149,6 +148,13 @@ def reduce_grounded(model: DynamicModel) -> DynamicModel:
     gains_t = (u.T * model.k_f[None, :])[1:, :]  # rows of U^T K_f past the zero mode
     a, b, c = _droop_matrices(core, gains_t, model.tau)
     return DynamicModel(A=a, B=b, C=c, tau=model.tau, k_f=model.k_f, L_B=np.diag(evals[1:]))
+
+
+def solve_continuous_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_continuous_lyapunov``, with scipy imported at the first call."""
+    from scipy.linalg import solve_continuous_lyapunov as solve
+
+    return solve(a, q)
 
 
 def h2_norm(model: DynamicModel) -> float:

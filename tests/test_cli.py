@@ -2,6 +2,7 @@ import functools
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -626,3 +627,65 @@ def test_solver_failure_exits_one_without_traceback(grid_file, hours_file, tmp_p
     rc = main(args)
     _assert_one_line_usage_error(rc, capsys, f"droopkit: solver failed: {reason}")
     assert not out.exists()
+
+
+def test_commands_load_scipy_only_where_they_solve():
+    """``tests/import_boundary.py`` (also a CI step) passes in a fresh interpreter."""
+    script = Path(__file__).with_name("import_boundary.py")
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+#: Runs the CLI on its arguments with scipy's HiGHS binding made unimportable.
+_NO_BINDING_CHILD = """
+import sys
+sys.modules["scipy.optimize._highspy._core"] = None
+from droopkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _run_without_highs_binding(argv):
+    return subprocess.run([sys.executable, "-c", _NO_BINDING_CHILD, *argv],
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command", ["solve-droops", "market-loop"])
+def test_missing_highs_binding_fails_the_first_solve_in_one_line(grid_file, hours_file, tmp_path,
+                                                                 command):
+    out = tmp_path / "out"
+    args = [command, "--grid", str(grid_file), "--out", str(out)]
+    if command == "market-loop":
+        args += ["--hours", str(hours_file), "--policy", "adaptive"]
+    proc = _run_without_highs_binding(args)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("droopkit: solver failed: ") and proc.stderr.count("\n") == 1
+    assert "scipy.optimize._highspy._core" in proc.stderr
+    assert not out.exists()
+
+
+def _output_bytes(path):
+    if path.is_dir():
+        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["check-n1", "simulate", "market-loop"])
+def test_missing_highs_binding_leaves_commands_that_never_solve_unchanged(
+    grid_file, hours_file, tmp_path, capsys, command
+):
+    droops = tmp_path / "droops.json"
+    assert main(["solve-droops", "--grid", str(grid_file), "--out", str(droops)]) == 0
+    args = {
+        "check-n1": ["--droops", str(droops)],
+        "simulate": ["--droops", str(droops), "--t-end", "0.5", "--event", "outage:UK@0.1"],
+        "market-loop": ["--hours", str(hours_file), "--policy", "equal"],
+    }[command]
+    expected, got = tmp_path / "expected", tmp_path / "got"
+    capsys.readouterr()
+    assert main([command, "--grid", str(grid_file), *args, "--out", str(expected)]) == 0
+    assert capsys.readouterr() == ("", "")
+    proc = _run_without_highs_binding([command, "--grid", str(grid_file), *args,
+                                       "--out", str(got)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert _output_bytes(got) == _output_bytes(expected)

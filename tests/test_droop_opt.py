@@ -457,6 +457,12 @@ def test_highs_lp_matches_linprog(p, tight, pinned, box, psi):
     assert _helper_outcome(*lp) == _linprog_outcome(cvec, a_ub, b_ub, a_eq, b_eq, node)
 
 
+def test_lp_bounds_write_highs_infinity_as_inf():
+    """``_exact_lp`` writes a missing bound as ``±math.inf`` without loading scipy,
+    which holds only while HiGHS's ``kHighsInf`` is IEEE infinity."""
+    assert droop_opt._highs.kHighsInf == math.inf
+
+
 def test_lp_solves_never_call_linprog(monkeypatch):
     """``droop_opt.linprog`` is only a hook for the benchmark tracer: no solve goes through it."""
     def no_linprog(*args, **kwargs):

@@ -410,12 +410,13 @@ def test_power_conserved_every_sample(island, equal600):
     assert np.max(np.abs(traj.total_power() - island.wind_total)) < 1e-8
 
 
-def test_divergence_guard_fires_on_unstable_step(island, equal600):
+def test_pre_step_stability_check_rejects_unstable_step(island, equal600):
     from droopkit.dynamics import SimulationDiverged
 
     model = assemble_model(island, equal600, 0.02)
-    # dt * |eigenvalue| far beyond the stability region of the scheme
-    with pytest.raises(SimulationDiverged):
+    # dt * |eigenvalue| far beyond the stability region of the scheme: the
+    # check before the first step raises, so the in-loop guard is never reached
+    with pytest.raises(SimulationDiverged, match=r"time step dt=0\.2s is unstable"):
         simulate(model, [WindStep(time=0.0, node="WF1", delta_pu=-0.1)], dt=0.2, t_end=400.0)
 
 
