@@ -22,8 +22,8 @@ Three solver routes are provided and cross-validate each other:
 
 scipy is imported at the first LP, MILP or MILP assembly, through the cached
 loader ``_scipy``, so a caller that never solves (the N-1 screen, the
-equal-gain market loop) never loads it.  The module attributes ``_highs``,
-``_HIGHS_OPTIONS`` and ``linprog`` resolve through the same loader.
+equal-gain market loop) never loads it.  Every LP goes to the one HiGHS
+instance ``_solver`` builds.
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ def _scipy() -> SimpleNamespace:
 
     ``highs`` is scipy's private HiGHS binding and ``options`` the options
     ``linprog(method="highs")`` sets, every other option at its default;
-    ``milp``, ``Bounds``, ``LinearConstraint``, ``sparse`` and ``linprog`` are
-    scipy's own.  A scipy without the binding raises ``SolverError``.
+    ``milp``, ``Bounds``, ``LinearConstraint`` and ``sparse`` are scipy's own.
+    A scipy without the binding raises ``SolverError``.
     """
     try:
         import scipy.sparse as sparse
-        from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+        from scipy.optimize import Bounds, LinearConstraint, milp
         from scipy.optimize._highspy import _core as highs
     except ImportError as exc:
         raise SolverError(f"LP and MILP solves need scipy's HiGHS binding: {exc}") from exc
@@ -82,17 +82,17 @@ def _scipy() -> SimpleNamespace:
     options.output_flag = False
     options.log_to_console = False
     return SimpleNamespace(highs=highs, options=options, milp=milp, Bounds=Bounds,
-                           LinearConstraint=LinearConstraint, sparse=sparse, linprog=linprog)
+                           LinearConstraint=LinearConstraint, sparse=sparse)
 
 
-#: Module attributes served by ``_scipy`` (read by the tests and the benchmark tracer).
-_LAZY_ATTRIBUTES = {"_highs": "highs", "_HIGHS_OPTIONS": "options", "linprog": "linprog"}
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, with scipy imported at the first call.
 
+    No solve calls it: it is only a name for the benchmark tracer to wrap.
+    """
+    from scipy.optimize import linprog as solve
 
-def __getattr__(name: str):
-    if name in _LAZY_ATTRIBUTES:
-        return getattr(_scipy(), _LAZY_ATTRIBUTES[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,15 +308,15 @@ _LP_CHECK_TOL = math.sqrt(1e-9) * 10
 
 
 @cache
-def _solver(options):
-    """The HiGHS instance that solves every LP under ``options``, built at first use.
+def _solver():
+    """The HiGHS instance that solves every LP under ``_scipy``'s options, built at first use.
 
     One instance serves every LP: ``passModel`` replaces its model and clears
     the previous model's basis and solution, so no LP sees the one before it.
     Solves therefore must not run in two threads at once.
     """
     highs = _scipy().highs._Highs()
-    highs.passOptions(options)
+    highs.passOptions(_scipy().options)
     return highs
 
 
@@ -324,31 +324,21 @@ def _highs_lp(c, start, index, value, row_lo, row_hi, col_lo, col_hi, what: str)
     """Minimize ``c @ x`` over ``row_lo <= a @ x <= row_hi``, ``col_lo <= x <= col_hi``.
 
     ``a`` is given column-wise by its CSC arrays ``start``, ``index`` and
-    ``value``, and infinite bounds are ``±inf``.  The model goes to the
-    ``_solver`` of ``_HIGHS_OPTIONS``, the options ``linprog(method="highs")``
-    sets (one set on the module wins over ``_scipy``'s), and an optimum is
-    kept only if it passes ``linprog``'s feasibility check, so the answer is
-    ``linprog``'s without its per-call wrapper work.
+    ``value``, and infinite bounds are ``±inf``.  The arrays go as they are to
+    ``_solver``, whose options are the ones ``linprog(method="highs")`` sets,
+    and an optimum is kept only if it passes ``linprog``'s feasibility check,
+    so the answer is ``linprog``'s without its per-call wrapper work.
     Returns ``(x, fun)`` at an optimum and None when HiGHS reports the LP
     infeasible; any other outcome raises ``SolverError`` naming ``what`` and
     the model status.
     """
-    sci = _scipy()
-    h = sci.highs
-    lp = h.HighsLp()
-    lp.num_row_, lp.num_col_ = row_lo.size, c.size
-    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = row_lo.size, c.size
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = value
-    lp.col_cost_ = c
-    lp.col_lower_ = col_lo
-    lp.col_upper_ = col_hi
-    lp.row_lower_ = row_lo
-    lp.row_upper_ = row_hi
-    highs = _solver(globals().get("_HIGHS_OPTIONS", sci.options))
-    if highs.passModel(lp) == h.HighsStatus.kError:
+    h = _scipy().highs
+    highs = _solver()
+    continuous = np.zeros(c.size, dtype=np.int32)  # HiGHS rejects an empty integrality array
+    passed = highs.passModel(c.size, row_lo.size, value.size, h.MatrixFormat.kColwise,
+                             h.ObjSense.kMinimize, 0.0, c, col_lo, col_hi, row_lo, row_hi,
+                             start, index, value, continuous)
+    if passed == h.HighsStatus.kError:
         status = h.HighsModelStatus.kModelError
     else:
         ran = highs.run() != h.HighsStatus.kError

@@ -86,15 +86,20 @@ def _droop_matrices(
     Angles integrate the frequencies; each frequency is a first-order filter
     with time constant tau on the gain-weighted flows ``coupling @ angles``
     (coupling is m x m) and on the disturbances, which ``inputs`` (m x p)
-    maps to the loops; the outputs are the frequencies.
+    maps to the loops; the outputs are the frequencies.  A tau so small that
+    A or B overflows raises ScenarioError.
     """
     m = coupling.shape[0]
     a = np.zeros((2 * m, 2 * m))
     a[:m, m:] = np.eye(m)
-    a[m:, :m] = -coupling / tau
-    a[m:, m:] = -np.eye(m) / tau
     b = np.zeros((2 * m, inputs.shape[1]))
-    b[m:, :] = -inputs / tau
+    with np.errstate(over="ignore"):  # an overflow is caught below
+        a[m:, :m] = -coupling / tau
+        a[m:, m:] = -np.eye(m) / tau
+        b[m:, :] = -inputs / tau
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ScenarioError(f"measurement time constant tau={tau} is so small that the "
+                            "model's A or B matrix overflows")
     c = np.zeros((m, 2 * m))
     c[:, m:] = np.eye(m)
     return a, b, c

@@ -150,9 +150,15 @@ class PlanningRun:
         return float(sum(r.curtailed_mwh for r in self.records))
 
 
-def _check_step_mw(step_mw: float) -> None:
+def _check_step_mw(step_mw: float, usable_mw: np.ndarray) -> None:
     if not 0 < step_mw < math.inf:
         raise ScenarioError(f"step_mw={step_mw:g} must be finite and positive")
+    # no capacity exceeds the largest usable one, and a step above half the float
+    # spacing there changes every capacity it is subtracted from: the loop ends
+    largest = float(usable_mw.max())
+    if step_mw <= math.ulp(largest) / 2:
+        raise ScenarioError(f"step_mw={step_mw:g} is too small to reduce a capacity of "
+                            f"{largest:g} MW")
 
 
 def _usable_mw(template: GridScenario) -> np.ndarray:
@@ -213,8 +219,9 @@ def plan_hour(
     violated; zero capacity clears to zero flows, so the loop ends, unless the
     backend finds no gains even then, which raises ScenarioError.
     """
-    _check_step_mw(step_mw)
-    _check_hour(template, hour, policy, _usable_mw(template))
+    usable = _usable_mw(template)
+    _check_step_mw(step_mw, usable)
+    _check_hour(template, hour, policy, usable)
     equal = _equal_gains(template, alpha)
     s_base, x_min, p_max = template.base.s_base_mva, template.x_min, template.p_max
 
@@ -258,14 +265,15 @@ def plan(
     psi: int = DEFAULT_PSI,
 ) -> PlanningRun:
     """``plan_hour`` for every hour in hour order; one stacked screen spares it the secure ones."""
-    _check_step_mw(step_mw)
+    usable = _usable_mw(template)
+    _check_step_mw(step_mw, usable)
     run = PlanningRun(policy=policy, alpha=alpha, step_mw=step_mw, link_ids=template.ids)
     ordered = sorted(hours, key=lambda h: h.hour)
     if not ordered:
         return run
     options = dict(policy=policy, step_mw=step_mw, alpha=alpha, backend=backend, psi=psi)
     run.records = [plan_hour(template, ordered[0], **options)]
-    usable, rest = _usable_mw(template), ordered[1:]
+    rest = ordered[1:]
     for i, hour in enumerate(rest):
         try:
             _check_hour(template, hour, policy, usable)

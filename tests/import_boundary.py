@@ -6,12 +6,14 @@ Run from the root of a checkout::
 
 scipy is imported at the first LP or MILP solve and at the first H2
 Lyapunov solve, not with the package.  This program imports ``droopkit`` and
-``droopkit.cli``, then runs ``check-n1``, ``simulate``, an equal-gain
+``droopkit.cli`` and resolves ``droop_opt.linprog`` as the benchmark tracer
+does, then runs ``check-n1``, ``simulate``, an equal-gain
 ``market-loop``, ``h2`` and ``solve-droops`` on the island fixture in a
 temporary directory, one after another in this process, and checks
 ``sys.modules`` after each step:
 
-* the import and the three commands that never solve load no ``scipy*``;
+* the import, the name lookup and the three commands that never solve load
+  no ``scipy*``;
 * ``h2`` loads ``scipy.linalg`` but not ``scipy.optimize``;
 * ``solve-droops`` loads scipy's HiGHS binding.
 
@@ -47,6 +49,8 @@ def main() -> int:
                                 f"e.g. {', '.join(found[:3])}")
 
     expect("import droopkit, droopkit.cli", (), ("scipy",))
+    getattr(droopkit.droop_opt, "linprog")  # the tracer wraps it by this name
+    expect("resolving droop_opt.linprog", (), ("scipy",))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         grid, hours = str(work / "grid.json"), str(work / "hours.csv")

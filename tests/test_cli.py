@@ -523,6 +523,16 @@ def test_non_finite_tau_exits_one_naming_it(grid_file, tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["h2", "simulate"])
+def test_tau_overflowing_the_model_exits_one_naming_it(grid_file, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    rc = main([command, "--grid", str(grid_file), "--alpha", "600", "--tau=1e-320",
+               "--out", str(out)])
+    _assert_one_line_usage_error(
+        rc, capsys, "tau=1e-320 is so small that the model's A or B matrix overflows")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["inf", "nan", "-inf"])
 def test_solve_droops_non_finite_alpha_exits_one(grid_file, tmp_path, capsys, alpha):
     out = tmp_path / "droops.json"
@@ -545,6 +555,17 @@ def test_market_loop_non_finite_step_exits_one(grid_file, hours_file, tmp_path, 
     rc = main(["market-loop", "--grid", str(grid_file), "--hours", str(hours_file),
                "--policy", "equal", f"--step-mw={step}", "--out", str(out)])
     _assert_one_line_usage_error(rc, capsys, f"step_mw={step} must be finite and positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["1e-13", "1e-300"])
+def test_market_loop_step_too_small_to_reduce_exits_one(grid_file, hours_file, tmp_path, capsys,
+                                                        step):
+    out = tmp_path / "out"
+    rc = main(["market-loop", "--grid", str(grid_file), "--hours", str(hours_file),
+               "--policy", "equal", f"--step-mw={step}", "--out", str(out)])
+    _assert_one_line_usage_error(
+        rc, capsys, f"step_mw={step} is too small to reduce a capacity of 1757.5 MW")
     assert not out.exists()
 
 

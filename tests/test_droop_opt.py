@@ -460,7 +460,7 @@ def test_highs_lp_matches_linprog(p, tight, pinned, box, psi):
 def test_lp_bounds_write_highs_infinity_as_inf():
     """``_exact_lp`` writes a missing bound as ``±math.inf`` without loading scipy,
     which holds only while HiGHS's ``kHighsInf`` is IEEE infinity."""
-    assert droop_opt._highs.kHighsInf == math.inf
+    assert droop_opt._scipy().highs.kHighsInf == math.inf
 
 
 def test_lp_solves_never_call_linprog(monkeypatch):
@@ -481,24 +481,16 @@ def test_oracle_and_bnb_solves_leave_stdout_and_stderr_empty(capfd):
     assert capfd.readouterr() == ("", "")
 
 
-def _highs_options(**fields):
-    """The helper's HiGHS options with ``fields`` changed."""
-    highs = droop_opt._highs._Highs()
-    highs.passOptions(droop_opt._HIGHS_OPTIONS)
-    options = highs.getOptions()
-    for name, value in fields.items():
-        setattr(options, name, value)
-    return options
-
-
-_ITERATION_LIMITED = _highs_options(simplex_iteration_limit=0)
-
-
 def _fresh_solver(options):
-    """A new HiGHS instance for every LP."""
-    highs = droop_opt._highs._Highs()
+    """A new HiGHS instance under ``options``."""
+    highs = droop_opt._scipy().highs._Highs()
     highs.passOptions(options)
     return highs
+
+
+#: The helper's HiGHS options with a simplex iteration limit of 0.
+_ITERATION_LIMITED = _fresh_solver(droop_opt._scipy().options).getOptions()
+_ITERATION_LIMITED.simplex_iteration_limit = 0
 
 
 def _sequence_lp(kind: str, seed: int):
@@ -507,14 +499,14 @@ def _sequence_lp(kind: str, seed: int):
     if kind == "infeasible":  # every converter fully loaded: no post-fault headroom
         prob = DroopProblem(alpha=600.0, x_min=np.full(4, 10.0), p_ref=np.full(4, 0.95),
                             p_max=np.full(4, 0.95))
-        return _exact_lp(prob), droop_opt._HIGHS_OPTIONS
+        return _exact_lp(prob), droop_opt._scipy().options
     if kind == "stopped":  # ANALYTIC's LP needs simplex iterations
         return _exact_lp(DroopProblem(**ANALYTIC)), _ITERATION_LIMITED
     prob = random_problem(rng)
     if kind == "tie-break":
         c2 = np.zeros(prob.n + prob.n * (prob.n - 1) // 2)
         c2[:prob.n] = 0.5 ** np.arange(prob.n)
-        return (c2, *_exact_lp(prob, face=rng.uniform(0.0, 400.0))[1:]), droop_opt._HIGHS_OPTIONS
+        return (c2, *_exact_lp(prob, face=rng.uniform(0.0, 400.0))[1:]), droop_opt._scipy().options
     lp = _exact_lp(prob)
     if kind == "node":  # a grid-aligned box per gain, empty when its ends cross
         q = 10.0**prob.psi
@@ -522,11 +514,12 @@ def _sequence_lp(kind: str, seed: int):
         span = np.floor((prob.x_upper + 1e-9) / q) - lo_u
         ends = np.sort(rng.random((prob.n, 2)), axis=1)[:, ::rng.choice([1, -1])]
         lp[6][:prob.n], lp[7][:prob.n] = (lo_u + np.floor(ends.T * span)) * q
-    return lp, droop_opt._HIGHS_OPTIONS
+    return lp, droop_opt._scipy().options
 
 
-def _solver_outcome(solver, lp, options):
-    with mock.patch.multiple(droop_opt, _solver=solver, _HIGHS_OPTIONS=options):
+def _solver_outcome(highs, lp):
+    """``_highs_lp``'s outcome on ``lp`` with ``highs`` as its solver."""
+    with mock.patch.object(droop_opt, "_solver", lambda: highs):
         try:
             res = droop_opt._highs_lp(*lp, what="test LP")
         except SolverError as exc:
@@ -546,11 +539,16 @@ def test_cached_solver_keeps_no_state_between_lps(steps, infeasible_at, stopped_
     x bytes and objective of a new instance built for it alone."""
     steps.insert(infeasible_at, ("infeasible", 0))
     steps.insert(stopped_at, ("stopped", 0))
+    cached = droop_opt._solver()
     for kind, seed in steps:
         lp, options = _sequence_lp(kind, seed)
-        got = _solver_outcome(droop_opt._solver, lp, options)
+        cached.passOptions(options)  # the iteration limit holds for the stopped LP alone
+        try:
+            got = _solver_outcome(cached, lp)
+        finally:
+            cached.passOptions(droop_opt._scipy().options)
         event(f"{kind}: {'infeasible' if got is None else type(got).__name__}")
-        assert got == _solver_outcome(_fresh_solver, lp, options)
+        assert got == _solver_outcome(_fresh_solver(options), lp)
 
 
 @pytest.mark.parametrize("backend, what", [("oracle", "oracle LP"), ("bnb", "B&B node LP")])
@@ -559,7 +557,8 @@ def test_lp_stopped_short_raises_solver_error_naming_status(monkeypatch, backend
     if backend == "bnb":  # seed the incumbent before the limit, so a node LP is stopped
         seed = solve_exact_oracle(prob, tie_break=False)
         monkeypatch.setattr(droop_opt, "solve_exact_oracle", lambda *args, **kwargs: seed)
-    monkeypatch.setattr(droop_opt, "_HIGHS_OPTIONS", _highs_options(simplex_iteration_limit=0))
+    limited = _fresh_solver(_ITERATION_LIMITED)
+    monkeypatch.setattr(droop_opt, "_solver", lambda: limited)
     with pytest.raises(droop_opt.SolverError,
                        match=f"{what} failed with HiGHS model status kIterationLimit"):
         solve_problem(prob, backend=backend)

@@ -91,6 +91,13 @@ def test_disturbance_map_scales_with_gain():
     assert np.min(evals.real) == pytest.approx(-50.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("tau", [1e-320, 5e-324])
+def test_tau_overflowing_a_or_b_raises_naming_it(tau):
+    """1/tau overflows to inf: the model is rejected, and no numpy warning is raised."""
+    with pytest.raises(ScenarioError, match=f"tau={tau} is so small that the model's A or B"):
+        assemble_model(two_node_scenario(), DroopAssignment.equal(200.0, 2), tau=tau)
+
+
 def test_assembly_commutes_with_relabeling():
     rng = np.random.default_rng(0)
     scen = fixtures.island_scenario()

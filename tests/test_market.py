@@ -566,3 +566,15 @@ def test_step_mw_must_be_finite_and_positive(island, step):
         plan_hour(island, hour, policy="equal", step_mw=step)
     with pytest.raises(ScenarioError, match=f"step_mw={step:g} must be finite and positive"):
         plan(island, [], policy="equal", step_mw=step)
+
+
+# the largest usable capacity is 1757.5 MW (plus 1e-9), where floats are 2.27e-13 apart; the
+# tie at half that spacing leaves a capacity with an even last bit unchanged
+@pytest.mark.parametrize("step", [1e-13, 1e-300, 5e-324, math.ulp(1757.500000001) / 2])
+def test_step_mw_too_small_to_reduce_a_capacity_is_rejected(island, step):
+    hour = hour3_hour()
+    message = f"step_mw={step:g} is too small to reduce a capacity of 1757.5 MW"
+    with pytest.raises(ScenarioError, match=message):
+        plan_hour(island, hour, policy="equal", step_mw=step)
+    with pytest.raises(ScenarioError, match=message):
+        plan(island, [], policy="equal", step_mw=step)
