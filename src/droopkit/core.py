@@ -266,6 +266,19 @@ class GridScenario:
     def ratings_mva(self) -> np.ndarray:
         return _readonly(c.rating_mva for c in self.converters)
 
+    @cached_property
+    def reduced_network(self) -> tuple[np.ndarray, np.ndarray]:
+        """Kron-reduced Laplacian over the converter nodes, and the map sending each
+        wind injection to its equivalent converter injections.  Both are read-only and
+        in C order: the rounding of simulate's matrix products depends on the layout."""
+        nodes, conv_idx = self.network.nodes, [self.network.index(cid) for cid in self.ids]
+        lap, inj_map = kron_reduction(self.network.laplacian(), conv_idx)
+        to_conv = np.zeros((self.n, len(nodes)))  # injection at a node -> at the converters
+        to_conv[:, [i for i in range(len(nodes)) if i not in set(conv_idx)]] = inj_map
+        to_conv[np.arange(self.n), conv_idx] = 1.0
+        wind_cols = [self.network.index(node) for node, _ in self.wind_injections]
+        return _readonly(lap), _readonly(to_conv[:, wind_cols])  # rows restacked in C order
+
     @property
     def wind_total(self) -> float:
         return float(sum(p for _, p in self.wind_injections))

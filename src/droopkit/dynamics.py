@@ -21,12 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_F_NOM_HZ, DroopAssignment, GridScenario, ScenarioError, kron_reduction
+from .core import DEFAULT_F_NOM_HZ, DroopAssignment, GridScenario, ScenarioError
+from .core import kron_reduction  # noqa: F401  the benchmark tracer's hook; nothing here calls it
 
 DEFAULT_TAU = 0.02
 DEFAULT_DT = 1e-3
 DEFAULT_T_END = 2.0
 
+# Smallest coupling eigenvalue, relative to the largest, that counts as positive.
 _STABILITY_MARGIN = 1e-10
 _DIVERGENCE_LIMIT = 1e6
 # The Laplacian's zero mode is an exact eigenvalue 1 of the step matrix, which
@@ -64,7 +66,7 @@ class DynamicModel:
     deviations.  Full models carry the scenario, assignment and wind map they
     were built from, so they can be simulated and rebuilt after an outage;
     a model whose ``scenario`` is None (reduced or grounded) is for norm
-    computations only.
+    computations only; a reduced one keeps its Laplacian eigenvectors in ``modes``.
     """
 
     A: np.ndarray
@@ -76,6 +78,7 @@ class DynamicModel:
     wind_map: np.ndarray | None = None
     scenario: GridScenario | None = None
     assignment: DroopAssignment | None = None
+    modes: np.ndarray | None = None
 
 
 def _droop_matrices(
@@ -114,21 +117,7 @@ def assemble_model(
     if assignment.n != scenario.n:
         raise ScenarioError("assignment does not match scenario converter count")
 
-    net = scenario.network
-    conv_idx = [net.index(c.id) for c in scenario.converters]
-    lap_full = net.laplacian()
-    lap, inj_map = kron_reduction(lap_full, conv_idx)
-
-    drop_nodes = [node for i, node in enumerate(net.nodes) if i not in set(conv_idx)]
-    drop_pos = {node: j for j, node in enumerate(drop_nodes)}
-    conv_pos = {c.id: i for i, c in enumerate(scenario.converters)}
-    wind_map = np.zeros((scenario.n, len(scenario.wind_injections)))
-    for col, (node, _) in enumerate(scenario.wind_injections):
-        if node in conv_pos:
-            wind_map[conv_pos[node], col] = 1.0
-        else:
-            wind_map[:, col] = inj_map[:, drop_pos[node]]
-
+    lap, wind_map = scenario.reduced_network
     k = np.asarray(assignment.k_f)
     a, b, c = _droop_matrices(k[:, None] * lap, np.diag(k), tau)
     return DynamicModel(A=a, B=b, C=c, tau=tau, k_f=k, L_B=lap, wind_map=wind_map,
@@ -152,31 +141,44 @@ def reduce_grounded(model: DynamicModel) -> DynamicModel:
     core = coupling[1:, 1:]
     gains_t = (u.T * model.k_f[None, :])[1:, :]  # rows of U^T K_f past the zero mode
     a, b, c = _droop_matrices(core, gains_t, model.tau)
-    return DynamicModel(A=a, B=b, C=c, tau=model.tau, k_f=model.k_f, L_B=np.diag(evals[1:]))
+    return DynamicModel(A=a, B=b, C=c, tau=model.tau, k_f=model.k_f, L_B=np.diag(evals[1:]),
+                        modes=u[:, 1:])
 
 
 def solve_continuous_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_continuous_lyapunov``, with scipy imported at the first call."""
+    """``scipy.linalg.solve_continuous_lyapunov``; only the benchmark tracer's hook calls it."""
     from scipy.linalg import solve_continuous_lyapunov as solve
 
     return solve(a, q)
 
 
 def h2_norm(model: DynamicModel) -> float:
-    """Squared H2 norm via the observability Gramian.
+    """Squared H2 norm in closed form from one symmetric eigendecomposition.
 
-    Raises UnstableModelError unless every eigenvalue has a strictly
-    negative real part; reduce the model first.
+    The frequency coupling is similar to T = V diag(lam) V^T: K^1/2 L K^1/2 for a
+    full or grounded model, W^T W with W = K^1/2 U Lam^1/2 for a reduced one.  Mode j
+    is the loop tau s^2 + s + lam_j; with M, N the Gram matrices of the modes' output
+    and input maps, H2^2 = sum_jl M_jl N_jl (lam_j + lam_l) / (2 tau [(tau/2)
+    (lam_j - lam_l)^2 + lam_j + lam_l]).  Raises UnstableModelError unless every lam
+    is positive, the exact Hurwitz test; the full model's zero mode fails it.
     """
     if not np.any(model.B):
         return 0.0
-    eigs = np.linalg.eigvals(model.A)
-    if np.max(eigs.real) >= -_STABILITY_MARGIN:
-        raise UnstableModelError(
-            f"unstable model: eigenvalue with real part {np.max(eigs.real):.3e}"
-        )
-    gram = solve_continuous_lyapunov(model.A.T, -model.C.T @ model.C)
-    return float(np.trace(model.B.T @ gram @ model.B))
+    root_k, tau = np.sqrt(model.k_f)[:, None], model.tau
+    if model.modes is None:
+        lam, v = np.linalg.eigh(root_k * model.L_B * root_k.T)
+        out = inp = root_k * v  # M = N = V^T K V
+    else:
+        root_lam = np.sqrt(np.diag(model.L_B))
+        w = root_k * model.modes * root_lam
+        lam, v = np.linalg.eigh(w.T @ w)
+        out, inp = v / root_lam[:, None], root_k * (w @ v)
+    if not lam[0] > _STABILITY_MARGIN * lam[-1]:
+        raise UnstableModelError(f"unstable model: coupling mode eigenvalue {lam[0]:.3e} "
+                                 f"is not positive (largest {lam[-1]:.3e})")
+    total = lam[:, None] + lam
+    shape = total / (0.5 * tau * (lam[:, None] - lam) ** 2 + total) / (2.0 * tau)
+    return float(np.sum((out.T @ out) * (inp.T @ inp) * shape))
 
 
 def equal_gain_h2(n: int, k: float, tau: float) -> float:
@@ -227,7 +229,7 @@ def h2_decomposition_check(
     The last converter is the grounded node.  Grounding severs the
     coupling, so the assembled system's squared norm must equal the sum of
     the base network's and the two single-node subsystems'; both sides are
-    computed independently by Lyapunov solves.
+    computed independently, each by its own ``h2_norm``.
     """
     if model.scenario is None:
         raise ScenarioError("decomposition check needs the full model")
@@ -445,7 +447,11 @@ def simulate(
         eff = cur.wind_map @ wind
         g = np.zeros(2 * m)
         g[m:] = cur.k_f * (eff - scen.p_ref) / cur.tau
-        phi, gamma = _rk4_step_matrices(cur.A, dt)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+            phi, gamma = _rk4_step_matrices(cur.A, dt)
+        if not (np.isfinite(phi).all() and np.isfinite(gamma).all()):
+            raise SimulationDiverged(f"time step dt={dt:g}s overflows the RK4 step matrix at "
+                                     f"measurement time constant tau={cur.tau:g}s")
         _check_step_stable(cur.A, phi, dt, start * dt)
         drive = gamma @ g
 

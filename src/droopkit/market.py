@@ -24,6 +24,8 @@ from .security import VIOLATION_TOL, post_fault_excess
 from .security import screen_all_contingencies  # noqa: F401  (patched by the benchmark tracer)
 
 DEFAULT_STEP_MW = 50.0
+#: Most steps of ``step_mw`` that may withdraw one link's largest usable capacity.
+MAX_STEPS_PER_LINK = 10**6
 
 
 #: Base prices (EUR/MWh) of the "diurnal" fixture; other links bid 50.
@@ -159,6 +161,10 @@ def _check_step_mw(step_mw: float, usable_mw: np.ndarray) -> None:
     if step_mw <= math.ulp(largest) / 2:
         raise ScenarioError(f"step_mw={step_mw:g} is too small to reduce a capacity of "
                             f"{largest:g} MW")
+    if largest / step_mw > MAX_STEPS_PER_LINK:
+        raise ScenarioError(f"step_mw={step_mw:g} needs up to {largest / step_mw:.3g} steps to "
+                            f"withdraw a capacity of {largest:g} MW, more than the "
+                            f"{MAX_STEPS_PER_LINK:,} a link may take")
 
 
 def _usable_mw(template: GridScenario) -> np.ndarray:

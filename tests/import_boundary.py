@@ -4,17 +4,16 @@ Run from the root of a checkout::
 
     PYTHONPATH=src python tests/import_boundary.py
 
-scipy is imported at the first LP or MILP solve and at the first H2
-Lyapunov solve, not with the package.  This program imports ``droopkit`` and
+scipy is imported at the first LP or MILP solve, not with the package; the
+H2 norm is a closed form that needs none.  This program imports ``droopkit`` and
 ``droopkit.cli`` and resolves ``droop_opt.linprog`` as the benchmark tracer
 does, then runs ``check-n1``, ``simulate``, an equal-gain
 ``market-loop``, ``h2`` and ``solve-droops`` on the island fixture in a
 temporary directory, one after another in this process, and checks
 ``sys.modules`` after each step:
 
-* the import, the name lookup and the three commands that never solve load
-  no ``scipy*``;
-* ``h2`` loads ``scipy.linalg`` but not ``scipy.optimize``;
+* the import, the name lookup and the four commands that never solve an LP
+  (``h2`` among them) load no ``scipy*``;
 * ``solve-droops`` loads scipy's HiGHS binding.
 
 It prints one line per breach and exits 1 if there is any.  A pytest process
@@ -66,8 +65,7 @@ def main() -> int:
               "--out", str(work / "traj.csv")], 0, (), ("scipy",)),
             (["market-loop", "--grid", grid, "--hours", hours, "--policy", "equal",
               "--out", str(work / "equal")], 0, (), ("scipy",)),
-            (["h2", "--grid", grid, "--out", str(work / "h2.json")], 0,
-             ("scipy.linalg",), ("scipy.optimize",)),
+            (["h2", "--grid", grid, "--out", str(work / "h2.json")], 0, (), ("scipy",)),
             (["solve-droops", "--grid", grid, "--out", str(work / "droops.json")], 0,
              (BINDING,), ()),
         ]

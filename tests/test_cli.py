@@ -158,6 +158,17 @@ def test_h2_output_matches_closed_form_for_equal_gains(grid_file, tmp_path):
     assert doc["h2_squared"] == pytest.approx(doc["equal_gain_closed_form"], rel=1e-8)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", ["1e-9", "1e-12", "1e-18", "1e300"])
+def test_h2_at_extreme_tau_writes_the_equal_gain_closed_form(grid_file, tmp_path, capsys, tau):
+    out = tmp_path / "h2.json"
+    rc = main(["h2", "--grid", str(grid_file), "--alpha", "600", f"--tau={tau}",
+               "--out", str(out)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    doc = json.loads(out.read_text())
+    assert doc["h2_squared"] == doc["equal_gain_closed_form"]
+
+
 def test_simulate_outage_csv_tail_matches_algebra(grid_file, tmp_path, island, equal600):
     from droopkit.security import post_fault_flows
 
@@ -533,6 +544,18 @@ def test_tau_overflowing_the_model_exits_one_naming_it(grid_file, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_tau_overflowing_the_step_matrix_exits_one_naming_it(grid_file, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "traj.csv"
+    rc = main(["simulate", "--grid", str(grid_file), "--alpha", "600", "--tau=1e-300",
+               "--out", str(out)])
+    _assert_one_line_usage_error(
+        rc, capsys, "time step dt=0.001s overflows the RK4 step matrix at measurement time "
+        "constant tau=1e-300s")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("alpha", ["inf", "nan", "-inf"])
 def test_solve_droops_non_finite_alpha_exits_one(grid_file, tmp_path, capsys, alpha):
     out = tmp_path / "droops.json"
@@ -555,6 +578,18 @@ def test_market_loop_non_finite_step_exits_one(grid_file, hours_file, tmp_path, 
     rc = main(["market-loop", "--grid", str(grid_file), "--hours", str(hours_file),
                "--policy", "equal", f"--step-mw={step}", "--out", str(out)])
     _assert_one_line_usage_error(rc, capsys, f"step_mw={step} must be finite and positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["1e-12", "0.001"])
+def test_market_loop_step_needing_too_many_rounds_exits_one(grid_file, hours_file, tmp_path,
+                                                            capsys, step):
+    out = tmp_path / "out"
+    rc = main(["market-loop", "--grid", str(grid_file), "--hours", str(hours_file),
+               "--policy", "equal", f"--step-mw={step}", "--out", str(out)])
+    _assert_one_line_usage_error(
+        rc, capsys, f"step_mw={step} needs up to", "steps to withdraw a capacity of 1757.5 MW, "
+        "more than the 1,000,000 a link may take")
     assert not out.exists()
 
 

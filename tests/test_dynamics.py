@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from droopkit import dynamics, fixtures
 from droopkit.core import (
@@ -13,6 +13,7 @@ from droopkit.core import (
     NetworkGraph,
     ScenarioError,
     SystemBase,
+    kron_reduction,
 )
 from droopkit.dynamics import (
     _CSV_BLOCK_ROWS,
@@ -124,6 +125,39 @@ def test_wind_at_converter_node_maps_directly():
     assert np.allclose(model.wind_map, [[1.0], [0.0]])
 
 
+def _reference_reduced_network(scenario):
+    """Laplacian and wind map as assemble_model built them for every gain set."""
+    net = scenario.network
+    conv_idx = [net.index(c.id) for c in scenario.converters]
+    lap, inj_map = kron_reduction(net.laplacian(), conv_idx)
+    drop_nodes = [node for i, node in enumerate(net.nodes) if i not in set(conv_idx)]
+    drop_pos = {node: j for j, node in enumerate(drop_nodes)}
+    conv_pos = {c.id: i for i, c in enumerate(scenario.converters)}
+    wind_map = np.zeros((scenario.n, len(scenario.wind_injections)))
+    for col, (node, _) in enumerate(scenario.wind_injections):
+        if node in conv_pos:
+            wind_map[conv_pos[node], col] = 1.0
+        else:
+            wind_map[:, col] = inj_map[:, drop_pos[node]]
+    return lap, wind_map
+
+
+def test_reduced_network_is_computed_once_read_only_and_keeps_its_bytes(island, two_bus):
+    passive = dataclasses.replace(
+        island, network=dataclasses.replace(
+            island.network, nodes=island.network.nodes + ("spare",),
+            edges=island.network.edges + (("spare", "UK", 3.0),)))
+    wind_at_converter = dataclasses.replace(two_bus, wind_injections=(("w", 0.5), ("a", 0.1)))
+    for scen in (island, two_bus, passive, wind_at_converter, two_node_scenario()):
+        first = assemble_model(scen, DroopAssignment.equal(600.0, scen.n), 0.02)
+        again = assemble_model(scen, DroopAssignment(np.arange(1.0, scen.n + 1) * 50), 0.05)
+        assert first.L_B is again.L_B and first.wind_map is again.wind_map
+        for got, want in zip((first.L_B, first.wind_map), _reference_reduced_network(scen)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            # simulate's matrix products round by layout, so its bytes need C order too
+            assert got.flags.c_contiguous and not got.flags.writeable
+
+
 def _reference_gain_blocks(k, lap, tau):
     """A, B, C as assemble_model and _grounded_system wrote them out inline."""
     n = k.size
@@ -224,6 +258,74 @@ def test_reduction_rejects_disconnected():
 # ---------------------------------------------------------------------------
 # H2 norms
 # ---------------------------------------------------------------------------
+
+
+def _reference_h2(model):
+    """The Lyapunov route h2_norm replaced: a stability test on eigvals(A), then
+    trace(B^T Wo B) with the observability Gramian Wo from scipy."""
+    if not np.any(model.B):
+        return 0.0
+    eigs = np.linalg.eigvals(model.A)
+    if np.max(eigs.real) >= -1e-10:
+        raise UnstableModelError(f"unstable model: eigenvalue with real part "
+                                 f"{np.max(eigs.real):.3e}")
+    gram = solve_continuous_lyapunov(model.A.T, -model.C.T @ model.C)
+    return float(np.trace(model.B.T @ gram @ model.B))
+
+
+@st.composite
+def _connected_scenarios(draw, n_min=2, n_max=7):
+    """n converters and up to two passive nodes, one carrying wind, on a random
+    spanning tree plus random chords, susceptances in [0.5, 4]."""
+    n = draw(st.integers(n_min, n_max))
+    nodes = [f"c{i}" for i in range(n)] + [f"p{i}" for i in range(draw(st.integers(0, 2)))]
+    b = st.floats(0.5, 4.0)
+    edges = {}
+    for i in range(1, len(nodes)):
+        edges[(nodes[draw(st.integers(0, i - 1))], nodes[i])] = draw(b)
+    for _ in range(draw(st.integers(0, len(nodes)))):
+        i, j = sorted(draw(st.lists(st.integers(0, len(nodes) - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        edges.setdefault((nodes[i], nodes[j]), draw(b))
+    net = NetworkGraph(nodes=tuple(nodes), edges=tuple((i, j, v) for (i, j), v in edges.items()))
+    conv = tuple(Converter(f"c{i}", 100.0, 0.0) for i in range(n))
+    wind = ((nodes[-1], 0.3),) if len(nodes) > n else ()
+    return GridScenario(SystemBase(100.0), conv, wind, net)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scen=_connected_scenarios(), data=st.data(), tau=st.floats(5e-3, 0.2))
+def test_h2_matches_the_lyapunov_reference_on_reduced_models(scen, data, tau):
+    x = np.array(data.draw(st.lists(st.floats(10.0, 200.0), min_size=scen.n, max_size=scen.n)))
+    red = reduce_grounded(assemble_model(scen, DroopAssignment(x), tau))
+    assert h2_norm(red) == pytest.approx(_reference_h2(red), rel=1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scen=_connected_scenarios(n_min=3), data=st.data(), tau=st.floats(5e-3, 0.2))
+def test_h2_matches_the_lyapunov_reference_on_grounded_systems(scen, data, tau):
+    x = np.array(data.draw(st.lists(st.floats(10.0, 200.0), min_size=scen.n, max_size=scen.n)))
+    model = assemble_model(scen, DroopAssignment(x), tau)
+    grounded = _grounded_system(model.L_B[:-1, :-1], model.k_f[:-1], tau)
+    assert h2_norm(grounded) == pytest.approx(_reference_h2(grounded), rel=1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scen=_connected_scenarios(), alpha=st.floats(20.0, 1200.0),
+       tau=st.floats(1e-18, 1.0) | st.sampled_from([1e-18, 1e-12, 1e-9, 1.0]))
+def test_h2_matches_the_equal_gain_closed_form_at_any_tau(scen, alpha, tau):
+    asn = DroopAssignment.equal(alpha, scen.n)
+    red = reduce_grounded(assemble_model(scen, asn, tau))
+    want = equal_gain_h2(scen.n, float(asn.k_f[0]), tau)
+    assert h2_norm(red) == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scen=_connected_scenarios(), data=st.data(), tau=st.floats(1e-18, 1.0))
+def test_h2_rejects_every_full_model(scen, data, tau):
+    x = np.array(data.draw(st.lists(st.floats(10.0, 200.0), min_size=scen.n, max_size=scen.n)))
+    with pytest.raises(UnstableModelError, match="unstable model"):
+        h2_norm(assemble_model(scen, DroopAssignment(x), tau))
 
 
 def test_h2_rejects_full_model(island, equal600):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from droopkit.core import DroopAssignment, ScenarioError
 from droopkit.droop_opt import (DroopSolution, SolverError, StiffnessError, build_exact_problem,
                                equal_gains_test)
 from droopkit.market import (
+    MAX_STEPS_PER_LINK,
     HourRecord,
     HourScenario,
     clear_market,
@@ -566,6 +568,20 @@ def test_step_mw_must_be_finite_and_positive(island, step):
         plan_hour(island, hour, policy="equal", step_mw=step)
     with pytest.raises(ScenarioError, match=f"step_mw={step:g} must be finite and positive"):
         plan(island, [], policy="equal", step_mw=step)
+
+
+# 1757.5 MW (plus 1e-9) in steps of 1.7575e-3 MW is just over the cap, in 1.7576e-3 just under
+@pytest.mark.parametrize("step", [1e-12, 1.7575e-3])
+def test_step_mw_needing_more_steps_than_the_cap_is_rejected(island, step):
+    hour = hour3_hour()
+    message = re.escape(f"step_mw={step:g} needs up to {1757.500000001 / step:.3g} steps to "
+                        f"withdraw a capacity of 1757.5 MW, more than the "
+                        f"{MAX_STEPS_PER_LINK:,} a link may take")
+    with pytest.raises(ScenarioError, match=message):
+        plan_hour(island, hour, policy="equal", step_mw=step)
+    with pytest.raises(ScenarioError, match=message):
+        plan(island, [], policy="equal", step_mw=step)
+    plan(island, [], policy="equal", step_mw=1.7576e-3)
 
 
 # the largest usable capacity is 1757.5 MW (plus 1e-9), where floats are 2.27e-13 apart; the
