@@ -20,14 +20,19 @@ Three solver routes are provided and cross-validate each other:
   gives far stronger bounds than branching on single digit binaries, and it
   never builds the MILP.
 
-scipy is imported at the first LP, MILP or MILP assembly, through the cached
-loader ``_scipy``, so a caller that never solves (the N-1 screen, the
-equal-gain market loop) never loads it.  Every LP goes to the one HiGHS
-instance ``_solver`` builds.
+scipy loads at first use, through two cached loaders, so a caller that never
+solves (the N-1 screen, the equal-gain market loop) never loads it.  The LP
+path (the oracle and B&B) needs only scipy's HiGHS binding, which ``_scipy``
+loads from its file without the ``scipy.optimize`` package; ``_milp_tools``
+imports ``scipy.optimize`` and ``scipy.sparse`` for MILP assembly and the
+"highs" backend only.  Every LP goes to the one HiGHS instance ``_solver``
+builds.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
 import sys
@@ -60,19 +65,47 @@ class SolverError(RuntimeError):
     """An LP or MILP solve failed, or branch and bound hit its node limit."""
 
 
+#: Full name of scipy's private HiGHS binding, the one scipy module the LP path uses.
+_BINDING = "scipy.optimize._highspy._core"
+
+
+def _load_binding():
+    """scipy's HiGHS binding, loaded without running ``scipy.optimize/__init__``.
+
+    The extension file is found in ``<scipy>/optimize/_highspy`` and registered
+    in ``sys.modules`` under its full name before it runs (and removed if that
+    fails), so a later ``import scipy.optimize`` reuses it.  A name already in
+    ``sys.modules`` (loaded, or blocked with None) or a file not found there
+    falls back to the plain import, and so to its error.
+    """
+    if _BINDING not in sys.modules:
+        import scipy
+
+        paths = [os.path.join(path, "optimize", "_highspy") for path in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(_BINDING, paths)
+        if spec is not None:
+            try:
+                binding = sys.modules[_BINDING] = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(binding)
+            except BaseException:
+                sys.modules.pop(_BINDING, None)
+                raise
+            return binding
+    return importlib.import_module(_BINDING)
+
+
 @cache
 def _scipy() -> SimpleNamespace:
-    """scipy's solver pieces, imported at the first call.
+    """The LP path's solver pieces, loaded at the first call.
 
-    ``highs`` is scipy's private HiGHS binding and ``options`` the options
-    ``linprog(method="highs")`` sets, every other option at its default;
-    ``milp``, ``Bounds``, ``LinearConstraint`` and ``sparse`` are scipy's own.
+    ``highs`` is scipy's private HiGHS binding, loaded on its own by
+    ``_load_binding`` (about 13 scipy modules instead of the 321 of
+    ``scipy.optimize``), and ``options`` the options
+    ``linprog(method="highs")`` sets, every other option at its default.
     A scipy without the binding raises ``SolverError``.
     """
     try:
-        import scipy.sparse as sparse
-        from scipy.optimize import Bounds, LinearConstraint, milp
-        from scipy.optimize._highspy import _core as highs
+        highs = _load_binding()
     except ImportError as exc:
         raise SolverError(f"LP and MILP solves need scipy's HiGHS binding: {exc}") from exc
     options = highs.HighsOptions()
@@ -81,8 +114,23 @@ def _scipy() -> SimpleNamespace:
     options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
     options.output_flag = False
     options.log_to_console = False
-    return SimpleNamespace(highs=highs, options=options, milp=milp, Bounds=Bounds,
-                           LinearConstraint=LinearConstraint, sparse=sparse)
+    return SimpleNamespace(highs=highs, options=options)
+
+
+@cache
+def _milp_tools() -> SimpleNamespace:
+    """scipy's MILP pieces, imported at the first MILP assembly or "highs" solve.
+
+    ``milp``, ``Bounds`` and ``LinearConstraint`` come from ``scipy.optimize``
+    and ``sparse`` is ``scipy.sparse``; a failed import raises ``SolverError``.
+    """
+    try:
+        import scipy.sparse as sparse
+        from scipy.optimize import Bounds, LinearConstraint, milp
+    except ImportError as exc:
+        raise SolverError(f"MILP solves need scipy.optimize and scipy.sparse: {exc}") from exc
+    return SimpleNamespace(milp=milp, Bounds=Bounds, LinearConstraint=LinearConstraint,
+                           sparse=sparse)
 
 
 def linprog(*args, **kwargs):
@@ -126,6 +174,10 @@ class DroopProblem:
                 f"stiffness target unreachable: alpha={self.alpha:g} does not exceed "
                 f"sum of gain lower bounds {float(self.x_min.sum()):g}"
             )
+        # the LP's limit rows are bounded by alpha times p_max - p or p_max + p
+        largest_limit = float(self.p_max.max()) + float(np.abs(self.p_ref).max())
+        if not math.isfinite(self.alpha * largest_limit):
+            raise ScenarioError(f"alpha={self.alpha:g} times a post-fault limit overflows")
         if self.eta is None:
             object.__setattr__(self, "eta", max(0, math.ceil(math.log10(self.alpha))))
         if not self.psi <= 0 <= self.eta:
@@ -572,7 +624,7 @@ class _Rows:
 
     def matrix(self, num_vars: int) -> sp.csr_matrix:
         shape = (len(self.rhs), num_vars)
-        return _scipy().sparse.coo_matrix((self.v, (self.r, self.c)), shape=shape).tocsr()
+        return _milp_tools().sparse.coo_matrix((self.v, (self.r, self.c)), shape=shape).tocsr()
 
 
 def build_milp(problem: DroopProblem) -> MilpModel:
@@ -902,7 +954,7 @@ def _solve_highs(problem: DroopProblem) -> DroopSolution:
     duration of the call and is restored afterwards.
     """
     model = build_milp(problem)
-    sci = _scipy()
+    sci = _milp_tools()
     constraints = [
         sci.LinearConstraint(model.a_eq, model.b_eq, model.b_eq),
         sci.LinearConstraint(model.a_ub, -np.inf, model.b_ub),

@@ -336,22 +336,27 @@ def _check_step_stable(a: np.ndarray, phi: np.ndarray, dt: float, t_start: float
 
     The message names the largest stable step, found by bisection on the
     amplification of the eigenvalues of ``a`` (the eigenvalues of ``phi`` are
-    their images under the RK4 polynomial).
+    their images under the RK4 polynomial).  The bisection runs on a log scale
+    from the smallest positive float, a step no finite mode is amplified by,
+    so it names a positive step however stiff ``a`` is; the step is rounded
+    down to four digits, so the named step is stable too.
     """
     rho = float(np.max(np.abs(np.linalg.eigvals(phi))))
     if rho <= 1 + _RK4_GROWTH_TOL:
         return
     lam = np.linalg.eigvals(a)
-    lo, hi = 0.0, dt
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
+    lo, hi = math.ulp(0.0), dt
+    while lo < (mid := math.sqrt(lo) * math.sqrt(hi)) < hi:
         if np.max(_rk4_growth(mid * lam)) <= 1 + _RK4_GROWTH_TOL:
             lo = mid
         else:
             hi = mid
+    from decimal import ROUND_FLOOR, Context  # only on this error path
+
+    largest = float(Context(prec=4, rounding=ROUND_FLOOR).create_decimal(lo))
     raise SimulationDiverged(
         f"time step dt={dt:g}s is unstable from t={t_start:g}s (RK4 step matrix has "
-        f"spectral radius {rho:.6g}); the largest stable dt is {lo:.4g}s"
+        f"spectral radius {rho:.6g}); the largest stable dt is {largest:.4g}s"
     )
 
 

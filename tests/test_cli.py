@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from droopkit import droop_opt, fixtures
 from droopkit.cli import (
@@ -271,6 +272,12 @@ def test_simulate_unstable_dt_exits_one_naming_largest_stable_dt(grid_file, tmp_
                "--t-end", "30", "--out", str(out)])
     _assert_one_line_usage_error(rc, capsys, "dt=0.1s is unstable", "largest stable dt is 0.0557")
     assert not out.exists()
+
+
+def test_simulate_tiny_tau_names_a_positive_largest_stable_dt(grid_file, tmp_path, capsys):
+    rc = main(["simulate", "--grid", str(grid_file), "--alpha", "600", "--tau=1e-30",
+               "--out", str(tmp_path / "traj.csv")])
+    _assert_one_line_usage_error(rc, capsys, "largest stable dt is 2.785e-30s")
 
 
 def test_simulate_off_grid_event_exits_one(grid_file, tmp_path, capsys):
@@ -562,6 +569,36 @@ def test_solve_droops_non_finite_alpha_exits_one(grid_file, tmp_path, capsys, al
     rc = main(["solve-droops", "--grid", str(grid_file), f"--alpha={alpha}", "--out", str(out)])
     _assert_one_line_usage_error(rc, capsys, f"alpha={alpha} must be finite")
     assert not out.exists()
+
+
+def test_solve_droops_alpha_overflowing_the_limit_rows_exits_one(grid_file, tmp_path, capsys):
+    out = tmp_path / "droops.json"
+    rc = main(["solve-droops", "--grid", str(grid_file), "--alpha=1e308", "--precision=0",
+               "--out", str(out)])
+    _assert_one_line_usage_error(rc, capsys, "alpha=1e+308 times a post-fault limit overflows")
+    assert not out.exists()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # each run overwrites
+@given(alpha=st.one_of(st.floats(), st.floats(1e300, 1.8e308), st.floats(60.0, 1e4)),
+       precision=st.one_of(st.integers(-400, 400), st.integers()))
+@example(alpha=0.0, precision=0)
+@example(alpha=-600.0, precision=-3)
+@example(alpha=5e-324, precision=-3)
+@example(alpha=600.0, precision=-10**30)
+@example(alpha=600.0, precision=10**30)
+@example(alpha=1e308, precision=0)  # times a limit, it overflows the LP's rows
+def test_solve_droops_alpha_and_precision_end_in_a_documented_exit(grid_file, tmp_path, capsys,
+                                                                   alpha, precision):
+    rc = main(["solve-droops", "--grid", str(grid_file), f"--alpha={alpha!r}",
+               f"--precision={precision}", "--out", str(tmp_path / "droops.json")])
+    out, err = capsys.readouterr()
+    assert rc in range(5) and out == "" and "Traceback" not in err
+    if rc:
+        assert err.startswith("droopkit: ") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 def test_solve_droops_highs_leaves_stdout_empty(grid_file, tmp_path, capfd):

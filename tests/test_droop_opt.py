@@ -1,6 +1,12 @@
 import hashlib
+import importlib.abc
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from unittest import mock
@@ -461,6 +467,110 @@ def test_lp_bounds_write_highs_infinity_as_inf():
     """``_exact_lp`` writes a missing bound as ``±math.inf`` without loading scipy,
     which holds only while HiGHS's ``kHighsInf`` is IEEE infinity."""
     assert droop_opt._scipy().highs.kHighsInf == math.inf
+
+
+#: In a fresh interpreter: an oracle solve loads the binding on its own, then
+#: ``scipy.optimize`` must reuse it and still solve with ``linprog`` and ``milp``.
+_BINDING_REUSE_CHILD = """
+import sys
+import numpy as np
+from droopkit import droop_opt
+prob = droop_opt.DroopProblem(alpha=300.0, x_min=np.full(3, 10.0),
+                              p_ref=np.array([0.9, 0.5, 0.1]), p_max=np.full(3, 0.95))
+assert droop_opt.solve_problem(prob).status == "optimal"
+assert "scipy.optimize" not in sys.modules and "scipy.sparse" not in sys.modules
+import scipy.optimize._highspy._core as core
+from scipy.optimize import linprog
+assert core is droop_opt._scipy().highs
+assert linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0]).fun == 1.0
+assert droop_opt.solve_problem(prob, backend="highs").status == "optimal"
+"""
+
+
+def test_scipy_optimize_reuses_the_directly_loaded_binding():
+    proc = subprocess.run([sys.executable, "-c", _BINDING_REUSE_CHILD], capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+
+
+#: Prints a sha256 over the status, note and value bytes of the oracle solutions
+#: of the benchmark's ``gain_select`` instances at seed 4242 and of B&B on every
+#: eighth one the oracle solves; with argument "package", ``scipy.optimize`` is
+#: imported first, so the solves run on the binding the package loads.
+_GAIN_SELECT_DIGEST_CHILD = """
+import hashlib, sys
+import numpy as np
+if sys.argv[1:] == ["package"]:
+    import scipy.optimize
+from droopkit.droop_opt import DroopProblem, solve_problem
+rng = np.random.default_rng(4242)
+digest = hashlib.sha256()
+for i in range(1000):
+    p = rng.uniform(-0.3, 0.92, size=2 + i % 5)
+    prob = DroopProblem(alpha=600.0, x_min=np.full(p.size, 10.0), p_ref=p,
+                        p_max=np.full(p.size, 0.95), psi=-3)
+    sols = [solve_problem(prob)]
+    if i % 8 == 0 and sols[0].status == "optimal":
+        sols.append(solve_problem(prob, backend="bnb", node_limit=1000))
+    for sol in sols:
+        digest.update(f"{sol.status}|{sol.note}|{sol.objective!r}|{sol.residual!r}|".encode())
+        if sol.assignment is not None:
+            digest.update(sol.assignment.x.tobytes())
+print(digest.hexdigest(), "scipy.optimize" in sys.modules)
+"""
+
+
+def test_gain_select_solutions_match_bytes_with_scipy_optimize_loaded_first():
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-c", _GAIN_SELECT_DIGEST_CHILD, *args],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        return proc.stdout.split()
+
+    direct, package = run(), run("package")
+    assert direct[1] == "False" and package[1] == "True"
+    assert direct[0] == package[0]
+
+
+def test_binding_loader_falls_back_to_the_package_import(monkeypatch):
+    """With no binding file beside scipy, ``_load_binding`` takes the plain import."""
+    binding = sys.modules[droop_opt._BINDING]  # this process has scipy.optimize loaded
+    monkeypatch.delitem(sys.modules, droop_opt._BINDING)
+    searched, imported = [], []
+    real_find_spec = importlib.machinery.PathFinder.find_spec
+
+    def find_spec(name, path=None, target=None):
+        if name != droop_opt._BINDING:
+            return real_find_spec(name, path, target)
+        searched.append(path)
+        return None
+
+    def import_module(name):
+        imported.append(name)
+        return binding
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", find_spec)
+    monkeypatch.setattr(importlib, "import_module", import_module)
+    assert droop_opt._load_binding() is binding
+    import scipy
+
+    assert searched == [[os.path.join(path, "optimize", "_highspy") for path in scipy.__path__]]
+    assert imported == [droop_opt._BINDING]
+
+
+def test_binding_that_fails_to_load_is_not_left_registered(monkeypatch):
+    class BrokenLoader(importlib.abc.Loader):
+        def exec_module(self, module):
+            assert sys.modules[droop_opt._BINDING] is module  # registered before it runs
+            raise ImportError("broken binding")
+
+    monkeypatch.delitem(sys.modules, droop_opt._BINDING)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda name, path=None, target=None:
+                        importlib.util.spec_from_loader(name, BrokenLoader()))
+    with pytest.raises(ImportError, match="broken binding"):
+        droop_opt._load_binding()
+    assert droop_opt._BINDING not in sys.modules
 
 
 def test_lp_solves_never_call_linprog(monkeypatch):

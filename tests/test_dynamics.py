@@ -619,6 +619,19 @@ def test_unstable_step_rejected_before_integrating_and_names_largest_stable_dt(
     assert simulate(model, [], dt=0.0557, t_end=1.0).time.size == 19
 
 
+@pytest.mark.parametrize("tau, dt", [(0.02, 0.1), (1e-9, 1e-3), (1e-30, 1e-3), (1e-60, 1e-3)])
+def test_named_largest_stable_dt_is_stable_and_twice_it_is_not(island, equal600, tau, dt):
+    """The step named is positive however small, and rounded down, so it passes the check."""
+    a = assemble_model(island, equal600, tau).A
+    with pytest.raises(SimulationDiverged, match=r"the largest stable dt is (\S+)s$") as err:
+        _check_step_stable(a, _rk4_step_matrices(a, dt)[0], dt, 0.0)
+    named = float(str(err.value).rsplit(" ", 1)[1][:-1])
+    assert 2.78 < named / tau < 2.79  # 2.785 / |lambda|max with |lambda|max = 1 / tau
+    _check_step_stable(a, _rk4_step_matrices(a, named)[0], named, 0.0)
+    with pytest.raises(SimulationDiverged):
+        _check_step_stable(a, _rk4_step_matrices(a, 2 * named)[0], 2 * named, 0.0)
+
+
 def test_off_grid_event_time_rejected(island, equal600):
     model = assemble_model(island, equal600, 0.02)
     with pytest.raises(ScenarioError, match=r"nearest grid times are 0\.5s and 0\.501s"):
